@@ -1,6 +1,7 @@
 """Square-integrable norms on the ball and the derivative bounds they imply.
 
-Two norm backends are provided.
+Two norm backends are provided, each an exact finite sum for a truncated
+polynomial.
 
 ``complex_exact``
     The analytic norm on the complex ball B(omega, R) with normalized
@@ -13,10 +14,14 @@ Two norm backends are provided.
     anything downstream relies on it.
 
 ``appendix_slice``
-    A real-slice surrogate: n!/pi^n/R^(2n) times the integral of |f|^2 over
-    the real n-ball of radius R around omega.  For n = 2 it is computed by
-    adaptive quadrature over the disk in polar coordinates (absolute
-    tolerance 1e-8); other dimensions fall back to seeded Monte Carlo.
+    The real-slice norm: n!/pi^n/R^(2n) times the integral of |f|^2 over the
+    real n-ball of radius R around omega.  With f = sum_alpha c_alpha
+    (x - omega)^alpha the integrand is a polynomial, and the real-ball moments
+
+        M(gamma) = R^(|gamma|+n) prod_i Gamma((gamma_i+1)/2) / Gamma((|gamma|+n)/2 + 1)
+
+    (zero unless every gamma_i is even) give the integral exactly as
+    sum_{alpha,beta} Re(c_alpha conj(c_beta)) M(alpha + beta).
 
 Certificates default to ``complex_exact``; the golden values in the test
 suite pin ``appendix_slice``.
@@ -25,18 +30,15 @@ suite pin ``appendix_slice``.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, StructuralError
 from .series import (
     AnalyticSystem,
     TruncatedSeries,
-    ts_evaluate,
     ts_recenter,
 )
 
@@ -57,15 +59,6 @@ __all__ = [
 COMPLEX_EXACT = "complex_exact"
 APPENDIX_SLICE = "appendix_slice"
 _BACKENDS = (COMPLEX_EXACT, APPENDIX_SLICE)
-
-# Fixed default seed for every stochastic fallback; DEFLATE_SEED overrides.
-_DEFAULT_SEED = 20240801
-_MC_SAMPLES = 200_000
-
-
-def _seed() -> int:
-    return int(os.environ.get("DEFLATE_SEED", _DEFAULT_SEED))
-
 
 def _check_backend(backend: str) -> str:
     if backend not in _BACKENDS:
@@ -127,37 +120,23 @@ def _series_norm_complex(f: TruncatedSeries, ball: BallContext) -> float:
 
 
 def _series_norm_slice_sq(f: TruncatedSeries, ball: BallContext) -> float:
-    n = ball.dim
-    const = math.factorial(n) / math.pi**n / ball.radius ** (2 * n)
-    if n == 2:
-        w0, w1 = ball.omega
-
-        def integrand(theta: float, r: float) -> float:
-            z = (w0 + r * math.cos(theta), w1 + r * math.sin(theta))
-            return abs(ts_evaluate(f, z)) ** 2 * r
-
-        value, _err = integrate.dblquad(
-            integrand,
-            0.0,
-            ball.radius,
-            0.0,
-            2.0 * math.pi,
-            epsabs=1e-10,
-            epsrel=1e-10,
-        )
-        return const * value
-    # General n: seeded Monte Carlo over the real n-ball around omega.
-    rng = np.random.default_rng(_seed())
-    g = rng.standard_normal((_MC_SAMPLES, n))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    radii = ball.radius * rng.random(_MC_SAMPLES) ** (1.0 / n)
-    pts = radii[:, None] * g
-    vals = np.empty(_MC_SAMPLES)
-    for k in range(_MC_SAMPLES):
-        z = tuple(ball.omega[i] + pts[k, i] for i in range(n))
-        vals[k] = abs(ts_evaluate(f, z)) ** 2
-    vol = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * ball.radius**n
-    return const * vol * float(vals.mean())
+    if f.center != ball.omega:
+        f = ts_recenter(f, ball.omega, f.order)
+    if not f.coefficients:
+        return 0.0
+    n, radius = ball.dim, ball.radius
+    exps = np.array(list(f.coefficients), dtype=int)
+    coeffs = np.array(list(f.coefficients.values()), dtype=complex)
+    gamma = exps[:, None, :] + exps[None, :, :]
+    top = int(gamma.max())
+    # Gamma((k+1)/2) for even k; odd moments of the symmetric ball vanish.
+    half = np.array([math.gamma((k + 1) / 2.0) if k % 2 == 0 else 0.0 for k in range(top + 1)])
+    deg = gamma.sum(axis=-1)
+    denom = np.array([math.gamma((d + n) / 2.0 + 1.0) for d in range(deg.max() + 1)])
+    # The moment's R^(|gamma|+n) and the prefactor's R^(-2n) combined.
+    moments = half[gamma].prod(axis=-1) / denom[deg] * float(radius) ** (deg - n)
+    total = (coeffs @ moments @ coeffs.conj()).real
+    return math.factorial(n) / math.pi**n * float(total)
 
 
 def series_norm_a2(f: TruncatedSeries, ball: BallContext, backend: str) -> float:
@@ -217,7 +196,8 @@ def monte_carlo_norm_complex(
     f: TruncatedSeries,
     ball: BallContext,
     samples: int = 1_000_000,
-    seed: int | None = None,
+    *,
+    seed: int,
 ) -> float:
     """Monte Carlo estimate of the complex-ball norm (oracle for tests).
 
@@ -226,7 +206,7 @@ def monte_carlo_norm_complex(
     Evaluation is vectorized over the sample batch.
     """
     n = ball.dim
-    rng = np.random.default_rng(_seed() if seed is None else seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((samples, 2 * n))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     radii = ball.radius * rng.random(samples) ** (1.0 / (2 * n))

@@ -29,7 +29,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .bergman import BallContext, norm_a2, series_norm_a2
 from .errors import (
@@ -89,7 +88,7 @@ C0 = float(sum(0.5 ** (2**k - 1) for k in range(8)))
 
 _STAGNATION_RTOL = 1e-15
 # Brute-force extraction is exact-optimal; beyond this many subsets fall back
-# to rank-revealing QR.
+# to greedy complete pivoting on the transposed Jacobian.
 _EXTRACT_BRUTE_LIMIT = 5000
 
 
@@ -97,8 +96,6 @@ _EXTRACT_BRUTE_LIMIT = 5000
 class SmallnessGate:
     """Outcome of one evaluation-smallness test."""
 
-    alpha0: float
-    c0: float
     eta: float
     value_norm: float
     passed: bool
@@ -202,7 +199,7 @@ def is_small(
         norm = series_norm_a2(f, ball, backend)
         value = abs(ts_evaluate(f, x0))
     eta = eta_threshold(norm, ball.dim, ball.radius)
-    return SmallnessGate(ALPHA0, C0, eta, value, value <= eta)
+    return SmallnessGate(eta, value, value <= eta)
 
 
 def _unit(n: int, i: int) -> tuple[int, ...]:
@@ -410,22 +407,13 @@ def _extract_square_indexed(
     elif math.comb(s, n) <= _EXTRACT_BRUTE_LIMIT:
         values = system_evaluate(f, x0)
         x0a = np.array([complex(t) for t in x0])
-        smins = {
-            combo: float(np.linalg.svd(j0[list(combo), :], compute_uv=False)[-1])
-            for combo in combinations(range(s), n)
-        }
-        smax = max(smins.values())
         best: tuple[float, tuple[int, ...]] | None = None
-        for combo, smin in smins.items():
-            # Conditioning floor keeps near-degenerate subsets (e.g. parallel
-            # rows) out of the running.
-            if smin < 0.5 * smax or smin <= 1e-12 * max(smax, np.finfo(float).tiny):
-                continue
+        for combo in combinations(range(s), n):
             idx = list(combo)
-            try:
-                delta = np.linalg.solve(j0[idx, :], values[idx])
-            except np.linalg.LinAlgError:
+            # A full-rank report certifies sigma_n > 0, so the solve succeeds.
+            if not numerical_rank(j0[idx, :]).full_rank:
                 continue
+            delta = np.linalg.solve(j0[idx, :], values[idx])
             candidate = tuple(x0a - delta)
             residual = float(
                 np.linalg.norm([ts_evaluate(eq, candidate) for eq in f.equations])
@@ -436,9 +424,9 @@ def _extract_square_indexed(
             raise ExtractionError("no equation subset achieves full numerical rank")
         chosen = best[1]
     else:
-        # Rank-revealing QR on the transpose ranks rows by conditioning.
-        _q, _r, perm = scipy.linalg.qr(j0.T, pivoting=True)
-        chosen = tuple(sorted(int(i) for i in perm[:n]))
+        # Pivot columns of the transpose are well-conditioned equation rows.
+        _rows, cols = pivot_selection(j0.T, n)
+        chosen = tuple(sorted(cols))
     square = f.with_equations(f.equations[i] for i in chosen)
     report = numerical_rank(j0[list(chosen), :])
     if report.rank < n:
@@ -449,10 +437,11 @@ def _extract_square_indexed(
 def extract_square(f: AnalyticSystem, x0: Sequence[complex]) -> AnalyticSystem:
     """A square subsystem whose Jacobian at x0 has full numerical rank.
 
-    Among all n-subsets of equations (brute force while feasible), subsets
-    whose smallest singular value falls under half the best are discarded;
-    of the rest, the subset whose Newton point best satisfies the whole
-    system is taken, in ascending equation order.
+    Among all n-subsets of equations (brute force while feasible), those the
+    threshold-free rank test reads as full rank are admitted; of these, the
+    subset whose Newton point best satisfies the whole system is taken, in
+    ascending equation order.  Beyond the brute-force limit, greedy complete
+    pivoting on the transposed Jacobian picks the equations.
     """
     square, _idx, _report = _extract_square_indexed(f, x0)
     return square

@@ -102,9 +102,57 @@ class TestNormA2:
         from multiroot.series import ts_recenter
 
         shifted = ts_recenter(f, (0.2, -0.1), 3)
-        a = series_norm_a2(f, BALL, COMPLEX_EXACT)
-        b = series_norm_a2(shifted, BALL, COMPLEX_EXACT)
-        assert a == pytest.approx(b, rel=1e-12)
+        for backend in (COMPLEX_EXACT, APPENDIX_SLICE):
+            a = series_norm_a2(f, BALL, backend)
+            b = series_norm_a2(shifted, BALL, backend)
+            assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_appendix_slice_against_quadrature(self, n):
+        # the closed-form real-ball moments against a tensor quadrature that
+        # is exact for these degrees and never recenters the series
+        rng = np.random.default_rng(100 + n)
+        for radius in (0.6, 1.7):
+            center = tuple(rng.uniform(-0.5, 0.5, n))
+            omega = tuple(rng.uniform(-0.3, 0.3, n) + 1j * rng.uniform(-0.3, 0.3, n))
+            ball = BallContext(omega, radius, n)
+            f = random_polynomial(rng, n, 3, center=center)
+            want = real_slice_norm_by_quadrature(f, ball)
+            got = series_norm_a2(f, ball, APPENDIX_SLICE)
+            assert abs(got - want) <= 1e-12 * want
+
+
+def _poly_values(f: TruncatedSeries, z: np.ndarray) -> np.ndarray:
+    dz = z - np.array(f.center, dtype=complex)
+    vals = np.zeros(len(z), dtype=complex)
+    for alpha, c in f.coefficients.items():
+        vals += c * np.prod(dz**np.array(alpha), axis=1)
+    return vals
+
+
+def real_slice_norm_by_quadrature(f: TruncatedSeries, ball: BallContext) -> float:
+    """Gauss-Legendre in r (and in cos(phi) for n = 3) times a uniform rule in
+    theta; exact while |f|^2 r^(n-1) has degree below 2 * nodes."""
+    n, radius = ball.dim, ball.radius
+    nodes = 12
+    t, wt = np.polynomial.legendre.leggauss(nodes)
+    r, wr = radius * (t + 1) / 2, radius * wt / 2
+    theta = 2 * np.pi * np.arange(2 * nodes) / (2 * nodes)
+    wtheta = np.full(theta.shape, 2 * np.pi / (2 * nodes))
+    if n == 2:
+        rr, th = (a.ravel() for a in np.meshgrid(r, theta, indexing="ij"))
+        w = np.outer(wr * r, wtheta).ravel()
+        x = np.stack([rr * np.cos(th), rr * np.sin(th)], axis=1)
+    elif n == 3:
+        rr, cp, th = (a.ravel() for a in np.meshgrid(r, t, theta, indexing="ij"))
+        w = np.einsum("i,j,k->ijk", wr * r**2, wt, wtheta).ravel()
+        sp = np.sqrt(1 - cp**2)
+        x = np.stack([rr * sp * np.cos(th), rr * sp * np.sin(th), rr * cp], axis=1)
+    else:
+        raise ValueError("oracle covers n = 2 and n = 3")
+    z = x + np.array(ball.omega, dtype=complex)
+    integral = float(np.sum(w * np.abs(_poly_values(f, z)) ** 2))
+    return math.sqrt(math.factorial(n) / math.pi**n / radius ** (2 * n) * integral)
 
 
 class TestLambdaBound:

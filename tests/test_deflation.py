@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from multiroot.bergman import COMPLEX_EXACT, BallContext
+from multiroot.certificates import singular_alpha_certificate
 from multiroot.deflation import (
+    _EXTRACT_BRUTE_LIMIT,
     ALPHA0,
     C0,
     deflation_sequence,
@@ -30,6 +32,7 @@ from multiroot.series import (
     AnalyticSystem,
     TruncatedSeries,
     jacobian,
+    recenter_system,
     system_evaluate,
     ts_derivative,
     ts_recenter,
@@ -270,6 +273,52 @@ class TestExtractSquare:
         f = AnalyticSystem(2, eqs, C2, 1.0)
         with pytest.raises(ExtractionError):
             extract_square(f, C2)
+
+    def test_many_subsets_use_pivoting(self):
+        # 101 equations give comb(101, 2) = 5050 subsets, past brute force;
+        # gradients alternate between near-x and near-y directions
+        eqs = []
+        for k in range(101):
+            if k % 2:
+                coeffs = {(1, 0): 1.0 + 0.01 * k, (0, 1): 0.02 * k}
+            else:
+                coeffs = {(0, 1): 1.0 + 0.01 * k, (1, 0): -0.02 * k}
+            eqs.append(TruncatedSeries(C2, 1, coeffs))
+        f = AnalyticSystem(2, tuple(eqs), C2, 1.0)
+        assert math.comb(f.size, 2) > _EXTRACT_BRUTE_LIMIT
+        square = extract_square(f, C2)
+        assert square.size == 2
+        assert numerical_rank(jacobian(square).eval_at(C2)).full_rank
+
+
+def griewank_osborne(x0):
+    """29/16 x^3 - 2xy and y - x^2 (root at the origin), as the CLI reads
+    them: recentered at x0, order 3, unit ball around x0."""
+    eqs = (
+        TruncatedSeries(C2, 3, {(3, 0): 29 / 16, (1, 1): -2.0}),
+        TruncatedSeries(C2, 3, {(0, 1): 1.0, (2, 0): -1.0}),
+    )
+    return recenter_system(AnalyticSystem(2, eqs, C2, 1.0), x0, 3, ball_at_center=True)
+
+
+class TestGriewankOsborne:
+    X0 = (1e-4, -2e-4)
+
+    def test_extraction_by_rank_test(self):
+        trace = deflation_sequence(griewank_osborne(self.X0), self.X0, COMPLEX_EXACT)
+        assert trace.thickness == 0
+        assert trace.deflated_indices == (2, 3)
+
+    def test_newton_reaches_root(self):
+        traj = newton_iterate(griewank_osborne(self.X0), self.X0, 4, COMPLEX_EXACT)
+        assert max(abs(v) for v in traj[-1]) < 1e-12
+
+    def test_certificate_contains_root(self):
+        report, _trace = singular_alpha_certificate(
+            griewank_osborne(self.X0), self.X0, COMPLEX_EXACT
+        )
+        assert report.alpha_ok
+        assert report.theta_low >= math.hypot(*self.X0)
 
 
 class TestTruncatedDeflation:
