@@ -72,7 +72,6 @@ from .series import (
     ts_evaluate,
     ts_mul,
     ts_recenter,
-    ts_reciprocal,
     ts_truncate,
 )
 

@@ -34,6 +34,7 @@ import numpy as np
 from .bergman import BallContext, gamma_bar_bound, kappa, lambda_bound, nu
 from .deflation import DeflationTrace, deflation_sequence
 from .errors import CertificateUnavailableError, DomainError
+from .rank import singular_values
 from .series import AnalyticSystem, jacobian, system_evaluate
 
 __all__ = [
@@ -93,8 +94,8 @@ def point_quantities(
         )
     ball = BallContext.of(f)
     j0 = jacobian(f).eval_at(x)
-    svals = np.linalg.svd(j0, compute_uv=False)
-    if svals[-1] <= 1e-12 * max(svals[0], np.finfo(float).tiny):
+    svals = singular_values(j0)
+    if svals[-1] == 0.0:
         raise CertificateUnavailableError("Jacobian is numerically singular at the point")
     v = system_evaluate(f, x)
     beta = float(np.linalg.norm(np.linalg.solve(j0, v)))
@@ -253,8 +254,7 @@ def rank_stability_radius(
     if epsilon < 0:
         raise DomainError("epsilon must be nonnegative")
     j0 = jacobian(f).eval_at(zeta)
-    svals = np.linalg.svd(j0, compute_uv=False)
-    nonzero = [s for s in svals if s > 1e-12 * max(svals[0], np.finfo(float).tiny)]
+    nonzero = [s for s in singular_values(j0) if s > 0.0]
     if not nonzero:
         raise DomainError("Jacobian vanishes at zeta; no nonzero singular value")
     sigma_r = float(nonzero[-1])

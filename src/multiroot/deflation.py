@@ -39,7 +39,13 @@ from .errors import (
     RankDeficiencyError,
     TruncationExhaustedError,
 )
-from .rank import RankReport, numerical_rank
+from .rank import (
+    RankReport,
+    numerical_rank,
+    rank_from_singular_values,
+    rounding_floor,
+    singular_values,
+)
 from .series import (
     AnalyticSystem,
     TruncatedSeries,
@@ -288,9 +294,10 @@ def pivot_selection(j0, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 if best is None or mag > best[0]:
                     best = (mag, i, j)
         mag, pi, pj = best
-        if mag < 1e-12 * max(scale, np.finfo(float).tiny):
+        if mag <= rounding_floor(j0.shape, scale):
             raise RankDeficiencyError(
-                f"pivot magnitude {mag:.3e} below 1e-12 * ||J|| while seeking rank {r}"
+                f"pivot magnitude {mag:.3e} at the rounding floor of ||J|| while "
+                f"seeking rank {r}"
             )
         row_idx.append(pi)
         col_idx.append(pj)
@@ -339,12 +346,16 @@ def _kerneling_pivots(
     if math.comb(s, r) * math.comb(n, r) > _PIVOT_BRUTE_LIMIT:
         return pivot_selection(j0, r)
     scale = float(np.linalg.norm(j0, 2))
+    row_sets = list(combinations(range(s), r))
+    col_sets = list(combinations(range(n), r))
+    # Every candidate block at once: blocks[i, j] = j0[row_sets[i]][:, col_sets[j]].
+    rows_a, cols_a = np.array(row_sets), np.array(col_sets)
+    blocks = j0[rows_a[:, None, :, None], cols_a[None, :, None, :]]
+    smin = singular_values(blocks, scale)[..., -1]
     candidates: list[tuple[float, tuple[int, ...], tuple[int, ...]]] = []
-    for rows in combinations(range(s), r):
-        for cols in combinations(range(n), r):
-            a0 = j0[np.ix_(rows, cols)]
-            smin = float(np.linalg.svd(a0, compute_uv=False)[-1])
-            if smin <= 1e-12 * max(scale, np.finfo(float).tiny):
+    for i, rows in enumerate(row_sets):
+        for j, cols in enumerate(col_sets):
+            if smin[i, j] == 0.0:
                 continue
             candidates.append((_schur_residual(j0, values, rows, cols), cols, rows))
     if not candidates:
@@ -391,16 +402,10 @@ def kernel_op(
 
 
 def _extract_square_indexed(
-    f: AnalyticSystem, x0: Sequence[complex]
+    f: AnalyticSystem, x0: Sequence[complex], j0: np.ndarray
 ) -> tuple[AnalyticSystem, tuple[int, ...], RankReport]:
+    """Extraction given the Jacobian j0 of f at x0, already read as rank n."""
     n = f.dim
-    j0 = jacobian(f).eval_at(x0)
-    overall = numerical_rank(j0)
-    if overall.rank < n:
-        raise ExtractionError(
-            f"jacobian has numerical rank {overall.rank} < n = {n}; no square "
-            "system of full rank exists"
-        )
     s = f.size
     if s == n:
         chosen = tuple(range(n))
@@ -408,10 +413,12 @@ def _extract_square_indexed(
         values = system_evaluate(f, x0)
         x0a = np.array([complex(t) for t in x0])
         best: tuple[float, tuple[int, ...]] | None = None
-        for combo in combinations(range(s), n):
+        combos = list(combinations(range(s), n))
+        sigmas = singular_values(j0[np.array(combos)])
+        for combo, sigma in zip(combos, sigmas):
             idx = list(combo)
             # A full-rank report certifies sigma_n > 0, so the solve succeeds.
-            if not numerical_rank(j0[idx, :]).full_rank:
+            if not rank_from_singular_values(sigma).full_rank:
                 continue
             delta = np.linalg.solve(j0[idx, :], values[idx])
             candidate = tuple(x0a - delta)
@@ -443,7 +450,14 @@ def extract_square(f: AnalyticSystem, x0: Sequence[complex]) -> AnalyticSystem:
     ascending equation order.  Beyond the brute-force limit, greedy complete
     pivoting on the transposed Jacobian picks the equations.
     """
-    square, _idx, _report = _extract_square_indexed(f, x0)
+    j0 = jacobian(f).eval_at(x0)
+    overall = numerical_rank(j0)
+    if overall.rank < f.dim:
+        raise ExtractionError(
+            f"jacobian has numerical rank {overall.rank} < n = {f.dim}; no square "
+            "system of full rank exists"
+        )
+    square, _idx, _report = _extract_square_indexed(f, x0, j0)
     return square
 
 
@@ -519,9 +533,8 @@ def _run_rounds(
             kind = "kerneling"
             continue
         # Full rank: extract and stop.
-        square, chosen, square_report = _extract_square_indexed(current, x0)
-        jsq = jacobian(square).eval_at(x0)
-        mu_values.append(float(1.0 / np.linalg.svd(jsq, compute_uv=False)[-1]))
+        square, chosen, square_report = _extract_square_indexed(current, x0, j0)
+        mu_values.append(1.0 / square_report.sigma[-1])
         steps.append(
             DeflationStep(kind, current, gate, report, chosen, tuple(range(current.dim)), records, mu_values[-1])
         )
@@ -613,10 +626,17 @@ def newton_iterate(
     steps: int,
     backend: str,
 ) -> list[tuple[complex, ...]]:
-    """Trajectory of the singular Newton operator, stopping at stagnation."""
+    """Trajectory of the singular Newton operator, stopping at stagnation.
+
+    Near a root the steps shrink.  A step no shorter than the one before it
+    is driven by rounding error, not by the root (for instance a kerneling
+    round whose pivot block is barely above the rounding floor), so the
+    trajectory stops before it and its point is not recorded.
+    """
     if steps < 1:
         raise DomainError("steps must be >= 1")
     traj = [tuple(complex(v) for v in x0)]
+    last_move = math.inf
     for _ in range(steps):
         prev = traj[-1]
         nxt = singular_newton_step(f, prev, backend)
@@ -624,9 +644,12 @@ def newton_iterate(
             # Gate failure or an exact fixed point: record once and stop.
             traj.append(nxt)
             break
-        traj.append(nxt)
         move = math.sqrt(sum(abs(a - b) ** 2 for a, b in zip(nxt, prev)))
+        if move >= last_move:
+            break
+        traj.append(nxt)
         scale = 1.0 + math.sqrt(sum(abs(a) ** 2 for a in prev))
         if move <= _STAGNATION_RTOL * scale:
             break
+        last_move = move
     return traj

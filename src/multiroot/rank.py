@@ -15,6 +15,15 @@ and the defining inequality sigma_{n-m} > epsilon >= sigma_{n-m+1} holds.
 Otherwise the matrix has full rank n and sigma_n > 1/(10 g_m) for the
 smallest m with s_{n-m} != 0; the report carries that theorem-backed value
 as epsilon (the smallest singular value itself is available in ``sigma``).
+
+Before the test runs, every singular value at or below the SVD's own rounding
+error, ``rounding_floor`` = max(rows, cols) * eps * sigma_max, is set to an
+exact zero: below that floor the gaps between singular values are rounding
+noise, and the a-test would read rank from them.  This is the one place the
+package decides that a singular value is numerically zero; pivot searches,
+series inverses and certificates all call it.  The floor is
+``numpy.linalg.matrix_rank``'s default tolerance, a property of double
+precision rather than a tuning knob.
 """
 
 from __future__ import annotations
@@ -25,13 +34,16 @@ import numpy as np
 
 __all__ = [
     "RankReport",
+    "rounding_floor",
     "singular_values",
     "elementary_symmetric",
     "rank_quantities",
     "numerical_rank",
+    "rank_from_singular_values",
 ]
 
 A_THRESHOLD = 1.0 / 9.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -53,12 +65,29 @@ class RankReport:
         return len(self.sigma)
 
 
-def singular_values(m) -> np.ndarray:
-    """Nonincreasing singular values; wide matrices are transposed first."""
+def rounding_floor(shape: tuple[int, ...], scale):
+    """Rounding error of the SVD of a rows x cols matrix: max(rows, cols)
+    * eps * scale, where ``scale`` is sigma_max of the matrix the singular
+    values came from."""
+    return max(shape) * _EPS * scale
+
+
+def singular_values(m, scale: float | None = None) -> np.ndarray:
+    """Nonincreasing singular values of m, or of each matrix of a stack
+    m[..., rows, cols]; those at or below ``rounding_floor`` are returned as
+    exact 0.0.  Wide matrices are transposed first.
+
+    ``scale`` defaults to each matrix's own largest singular value; for
+    blocks cut out of a larger matrix J, pass ||J||.
+    """
     m = np.atleast_2d(np.asarray(m, dtype=complex))
-    if m.shape[0] < m.shape[1]:
-        m = m.T
-    return np.linalg.svd(m, compute_uv=False)
+    if m.shape[-2] < m.shape[-1]:
+        m = np.swapaxes(m, -1, -2)
+    sigma = np.linalg.svd(m, compute_uv=False)
+    if sigma.shape[-1]:
+        top = sigma[..., :1] if scale is None else scale
+        sigma[sigma <= rounding_floor(m.shape[-2:], top)] = 0.0
+    return sigma
 
 
 def elementary_symmetric(sigma) -> list[float]:
@@ -111,8 +140,12 @@ def rank_quantities(s):
 
 def numerical_rank(m) -> RankReport:
     """Certified (rank, epsilon) for a complex matrix; no threshold input."""
-    sigma = singular_values(m)
-    n = int(sigma.shape[0])
+    return rank_from_singular_values(singular_values(m))
+
+
+def rank_from_singular_values(sigma) -> RankReport:
+    """The rank test on the output of ``singular_values`` (one matrix)."""
+    n = len(sigma)
     s = elementary_symmetric(sigma)
     b, g, a = rank_quantities(s)
     for k in range(1, n + 1):

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import SingularPivotError, StructuralError
+from .rank import singular_values
 
 __all__ = [
     "TruncatedSeries",
@@ -35,7 +36,6 @@ __all__ = [
     "ts_derivative",
     "ts_evaluate",
     "ts_recenter",
-    "ts_reciprocal",
     "ts_truncate",
     "max_coeff",
     "is_zero_series",
@@ -106,6 +106,20 @@ class TruncatedSeries:
                 coeffs[alpha] = coeffs.get(alpha, 0.0) + c
         self.coefficients = coeffs
 
+    @classmethod
+    def _of(
+        cls, center: Point, order: int, coefficients: dict[Exponent, complex]
+    ) -> "TruncatedSeries":
+        """Constructor for the series operations below, whose center, order and
+        exponents come from series that ``__init__`` already checked.  Skips
+        those checks but normalises the coefficients exactly as ``__init__``
+        does: zero terms dropped, each value 0.0 + c."""
+        self = object.__new__(cls)
+        self.center = center
+        self.order = order
+        self.coefficients = {a: 0.0 + c for a, c in coefficients.items() if c != 0}
+        return self
+
     @property
     def dim(self) -> int:
         return len(self.center)
@@ -167,7 +181,7 @@ def ts_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     for alpha, c in itertools.chain(a.coefficients.items(), b.coefficients.items()):
         if sum(alpha) <= order:
             coeffs[alpha] = coeffs.get(alpha, 0.0) + c
-    return TruncatedSeries(a.center, order, coeffs)
+    return TruncatedSeries._of(a.center, order, coeffs)
 
 
 def ts_sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -176,7 +190,7 @@ def ts_sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 def ts_scale(a: TruncatedSeries, c: complex) -> TruncatedSeries:
     c = complex(c)
-    return TruncatedSeries(
+    return TruncatedSeries._of(
         a.center, a.order, {alpha: v * c for alpha, v in a.coefficients.items()}
     )
 
@@ -195,7 +209,7 @@ def ts_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
                 continue
             gamma = tuple(i + j for i, j in zip(alpha, beta))
             coeffs[gamma] = coeffs.get(gamma, 0.0) + ca * cb
-    return TruncatedSeries(a.center, order, coeffs)
+    return TruncatedSeries._of(a.center, order, coeffs)
 
 
 def ts_truncate(f: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -204,8 +218,10 @@ def ts_truncate(f: TruncatedSeries, order: int) -> TruncatedSeries:
     Raising the order is allowed: a :class:`TruncatedSeries` is treated as an
     exact polynomial, so the new coefficients are genuinely zero.
     """
+    if order < 0:
+        raise StructuralError("series order must be nonnegative")
     coeffs = {a: c for a, c in f.coefficients.items() if sum(a) <= order}
-    return TruncatedSeries(f.center, order, coeffs)
+    return TruncatedSeries._of(f.center, order, coeffs)
 
 
 def ts_derivative(f: TruncatedSeries, var: int) -> TruncatedSeries:
@@ -218,7 +234,7 @@ def ts_derivative(f: TruncatedSeries, var: int) -> TruncatedSeries:
         if k > 0:
             beta = alpha[:var] + (k - 1,) + alpha[var + 1:]
             coeffs[beta] = coeffs.get(beta, 0.0) + k * c
-    return TruncatedSeries(f.center, max(f.order - 1, 0), coeffs)
+    return TruncatedSeries._of(f.center, max(f.order - 1, 0), coeffs)
 
 
 def ts_evaluate(f: TruncatedSeries, x: Sequence[complex]) -> complex:
@@ -313,33 +329,6 @@ def series_close(a: TruncatedSeries, b: TruncatedSeries) -> bool:
     )
 
 
-def ts_reciprocal(f: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Series g with f*g = 1 up to the given order.
-
-    Computed by the truncated Neumann recursion with exactly ``order``
-    correction terms; truncation is formal, so no convergence check is
-    needed.  Requires a nonvanishing constant coefficient.
-    """
-    c0 = f.constant
-    if abs(c0) <= ZERO_RTOL * (1.0 + max_coeff(f)):
-        raise SingularPivotError("reciprocal of a series with vanishing constant term")
-    g = ts_truncate(f, order)
-    n = f.dim
-    # h has zero constant term, so h^k starts at degree k and the sum is exact.
-    h = TruncatedSeries(
-        f.center,
-        order,
-        {a: c / c0 for a, c in g.coefficients.items() if sum(a) > 0},
-    )
-    one = TruncatedSeries(f.center, order, {(0,) * n: 1.0})
-    acc = one
-    term = one
-    for _ in range(order):
-        term = ts_mul(term, ts_scale(h, -1.0))
-        acc = ts_add(acc, term)
-    return ts_scale(acc, 1.0 / c0)
-
-
 @dataclass(frozen=True)
 class SeriesMatrix:
     """A rows x cols matrix of series sharing one center.
@@ -424,8 +413,7 @@ def _mat_inverse(a: SeriesMatrix, order: int) -> SeriesMatrix:
     center = a.entries[0].center
     n = len(center)
     a0 = a.eval_at(center)
-    svals = np.linalg.svd(a0, compute_uv=False)
-    if svals[-1] <= 1e-12 * max(svals[0], np.finfo(float).tiny):
+    if singular_values(a0)[-1] == 0.0:
         raise SingularPivotError("pivot block is numerically singular at the center")
     a0inv = np.linalg.inv(a0)
 

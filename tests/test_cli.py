@@ -41,6 +41,26 @@ def regular_fixture(tmp_path, point=(0.4995, 0.5005), name="regular.json"):
     )
 
 
+def kss5_root_fixture(tmp_path):
+    """KSS n = 5, x_i^2 + sum_j x_j - 2 x_i - 4, at its root (1, ..., 1)."""
+    n = 5
+    unit = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
+    equations = [
+        [[[1.0, 0.0], [2 * e for e in unit[i]]], [[-4.0, 0.0], [0] * n]]
+        + [[[-1.0 if j == i else 1.0, 0.0], unit[j]] for j in range(n)]
+        for i in range(n)
+    ]
+    payload = {
+        "vars": [f"x{i}" for i in range(n)],
+        "equations": equations,
+        "point": [[1.0, 0.0]] * n,
+        "radius": 1.0,
+        "order": 3,
+        "norm_backend": "complex",
+    }
+    return write_json(tmp_path, "kss5_root.json", payload)
+
+
 def far_fixture(tmp_path):
     data = json.loads(Path(GY2).read_text())
     data["point"] = [[0.5, 0.0], [0.4, 0.0]]
@@ -214,6 +234,21 @@ class TestCertifyCommand:
         assert code == 0  # reports are not errors
         assert payload["alpha_ok"] is False
         assert any("hypothesis 1.1" in n for n in payload["notes"])
+
+
+class TestKSS5AtRoot:
+    def test_rank_is_one(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "rank", "--input", kss5_root_fixture(tmp_path))
+        assert code == 0
+        assert json.loads(out)["rank"] == 1
+
+    @pytest.mark.parametrize(
+        "argv", [("deflate",), ("solve", "--steps", "4"), ("certify",)]
+    )
+    def test_commands_succeed(self, capsys, tmp_path, argv):
+        path = kss5_root_fixture(tmp_path)
+        code, _out, err = run_cli(capsys, *argv, "--input", path)
+        assert code == 0, err
 
 
 class TestReportContract:

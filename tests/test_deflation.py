@@ -7,6 +7,8 @@ from multiroot.bergman import COMPLEX_EXACT, BallContext
 from multiroot.certificates import singular_alpha_certificate
 from multiroot.deflation import (
     _EXTRACT_BRUTE_LIMIT,
+    _PIVOT_BRUTE_LIMIT,
+    _kerneling_pivots,
     ALPHA0,
     C0,
     deflation_sequence,
@@ -27,7 +29,7 @@ from multiroot.errors import (
     RankDeficiencyError,
     TruncationExhaustedError,
 )
-from multiroot.rank import numerical_rank
+from multiroot.rank import numerical_rank, singular_values
 from multiroot.series import (
     AnalyticSystem,
     TruncatedSeries,
@@ -43,6 +45,7 @@ from conftest import (
     KERNELED_GOLDEN,
     SELECTED_GOLDEN,
     assert_system_multiset,
+    kss,
 )
 
 C2 = (0.0, 0.0)
@@ -170,6 +173,19 @@ class TestPivotSelection:
     def test_rank_deficiency_detected(self):
         with pytest.raises(RankDeficiencyError):
             pivot_selection(np.array([[1.0, 1.0], [1.0, 1.0]]), 2)
+
+
+class TestKernelingPivots:
+    def test_greedy_fallback_block_is_nonsingular(self):
+        # 12 x 6 of rank 3: comb(12, 3) * comb(6, 3) = 4400 candidate blocks,
+        # past the brute-force cap, so greedy complete pivoting picks them.
+        rng = np.random.default_rng(17)
+        j0 = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 6))
+        assert math.comb(12, 3) * math.comb(6, 3) > _PIVOT_BRUTE_LIMIT
+        rows, cols = _kerneling_pivots(j0, rng.standard_normal(12), 3)
+        assert len(set(rows)) == 3 and len(set(cols)) == 3
+        block = j0[np.ix_(rows, cols)]
+        assert singular_values(block, np.linalg.norm(j0, 2))[-1] > 0.0
 
 
 class TestKernelOp:
@@ -319,6 +335,31 @@ class TestGriewankOsborne:
         )
         assert report.alpha_ok
         assert report.theta_low >= math.hypot(*self.X0)
+
+
+class TestKSS:
+    """Kobayashi-Suzuki-Sakai: the Jacobian at the root (1, ..., 1) is the
+    all-ones matrix, of rank 1."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_exact_root_deflates(self, n):
+        root = (1.0,) * n
+        trace = deflation_sequence(kss(n, root), root, COMPLEX_EXACT)
+        assert trace.thickness == 1
+        assert trace.deflated is not None and trace.deflated.size == n
+
+    def test_newton_reaches_root_from_kss6_point(self):
+        x0 = (0.999972, 0.999933, 0.999894, 0.999961, 1.000048, 0.999976)
+        traj = newton_iterate(kss(6, x0), x0, 4, COMPLEX_EXACT)
+        assert max(abs(v - 1.0) for v in traj[-1]) < 1e-12
+
+    def test_newton_stops_before_a_longer_step(self):
+        # Iterate 1 lies 2.2e-12 from the root with two coordinates exactly
+        # 1.0; its deflation kernels a 3x3 pivot block with sigma_min 1.7e-12,
+        # and the resulting step of 1.5e-5 must not be taken.
+        x0 = (1.0000008602438026, 0.9999960601258012, 1.0000025590583586, 1.0000065761140973)
+        traj = newton_iterate(kss(4, x0), x0, 4, COMPLEX_EXACT)
+        assert max(abs(v - 1.0) for v in traj[-1]) < 1e-11
 
 
 class TestTruncatedDeflation:

@@ -135,6 +135,14 @@ class TestNumericalRank:
         report = numerical_rank(np.diag([1.0, 1e-8]))
         assert report.rank == 1
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_rounding_noise_is_not_rank(self, n):
+        # The SVD leaves n - 1 values of order eps * n under sigma_1 = n; read
+        # as data, their gaps made the a-test report rank 2 at n = 5, 3 at 6.
+        report = numerical_rank(np.ones((n, n)))
+        assert report.rank == 1
+        assert report.sigma[1:] == (0.0,) * (n - 1)
+
     def test_defining_inequality_on_gapped_matrices(self):
         rng = np.random.default_rng(11)
         trials = 10_000

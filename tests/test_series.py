@@ -13,7 +13,6 @@ from multiroot.series import (
     ts_evaluate,
     ts_mul,
     ts_recenter,
-    ts_reciprocal,
     ts_truncate,
 )
 
@@ -183,35 +182,6 @@ class TestRecenter:
     def test_order_increase_rejected(self):
         with pytest.raises(StructuralError):
             ts_recenter(S(2, {}), (1.0, 1.0), 3)
-
-
-class TestReciprocal:
-    def test_geometric_series(self):
-        f = S(1, {(0, 0): 1.0, (1, 0): 1.0})
-        r = ts_reciprocal(f, 2)
-        assert r.coefficients == {(0, 0): 1.0, (1, 0): -1.0, (2, 0): 1.0}
-
-    def test_constant(self):
-        assert ts_reciprocal(S(0, {(0, 0): 2.0}), 0).constant == pytest.approx(0.5)
-
-    def test_multiply_back(self):
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            f = random_polynomial(rng, 2, 3)
-            f = ts_add(
-                f, S(3, {(0, 0): 1.0 - f.constant})
-            )  # normalize f(0) = 1
-            g = ts_reciprocal(f, 3)
-            prod = ts_mul(ts_truncate(f, 3), g)
-            err = max(
-                abs(prod.coefficient(k) - (1.0 if sum(k) == 0 else 0.0))
-                for k in set(prod.coefficients) | {(0, 0)}
-            )
-            assert err <= 1e-10
-
-    def test_vanishing_constant(self):
-        with pytest.raises(SingularPivotError):
-            ts_reciprocal(S(1, {(1, 0): 1.0}), 1)
 
 
 class TestJacobian:
