@@ -86,18 +86,19 @@ def gy2_trace(gy2):
     return deflation_sequence(system, point, backend), point, backend
 
 
-def kss(n, x0, order=3):
+def kss(n, x0):
     """Kobayashi-Suzuki-Sakai: x_i^2 + sum_j x_j - 2 x_i - n + 1, root
-    (1, ..., 1), as the CLI reads it: recentered at x0, unit ball around x0."""
+    (1, ..., 1), as the CLI reads it: recentered at x0, order 3, unit ball
+    around x0."""
     zero = (0,) * n
     equations = []
     for i in range(n):
         coeffs = {tuple(2 if k == i else 0 for k in range(n)): 1.0, zero: float(1 - n)}
         for j in range(n):
             coeffs[tuple(1 if k == j else 0 for k in range(n))] = -1.0 if j == i else 1.0
-        equations.append(TruncatedSeries((0.0,) * n, max(2, order), coeffs))
+        equations.append(TruncatedSeries((0.0,) * n, 3, coeffs))
     system = AnalyticSystem(n, tuple(equations), (0.0,) * n, 1.0)
-    return recenter_system(system, x0, order, ball_at_center=True)
+    return recenter_system(system, x0, 3, ball_at_center=True)
 
 
 def random_polynomial(rng, n=2, degree=3, center=None, order=None, real=False):
