@@ -42,7 +42,6 @@ from .deflation import (
     kernel_op,
     newton_iterate,
     pivot_selection,
-    select,
     singular_newton_step,
     truncated_deflation,
 )
@@ -50,9 +49,8 @@ from .errors import (
     CertificateUnavailableError,
     DomainError,
     ExtractionError,
-    LinearSolveError,
+    HypothesisFailure,
     MultirootError,
-    NonTerminationError,
     ParseError,
     RankDeficiencyError,
     SingularPivotError,

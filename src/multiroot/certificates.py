@@ -139,11 +139,14 @@ def alpha_certificate(
     )
 
 
-def gamma_radius(f: AnalyticSystem, zeta: Sequence[complex], backend: str) -> float:
-    """Quadratic-convergence radius (2g+1-sqrt(4g^2+3g))/(kappa (g+1)) at zeta."""
-    q = point_quantities(f, zeta, backend)
+def _gamma_radius_of(q: PointQuantities) -> float:
     g = q.gamma
     return (2.0 * g + 1.0 - math.sqrt(4.0 * g * g + 3.0 * g)) / (q.kappa * (g + 1.0))
+
+
+def gamma_radius(f: AnalyticSystem, zeta: Sequence[complex], backend: str) -> float:
+    """Quadratic-convergence radius (2g+1-sqrt(4g^2+3g))/(kappa (g+1)) at zeta."""
+    return _gamma_radius_of(point_quantities(f, zeta, backend))
 
 
 def deflated_radius_formula(
@@ -200,31 +203,20 @@ def singular_alpha_certificate(
 ) -> tuple[CertificateReport, DeflationTrace]:
     """Existence certificate for a singular root via a deflation sequence.
 
-    Verifies, per step, the smallness gate and the rank record (deficient
-    before the last step, full at the end), then applies the alpha
-    certificate to the deflated system.  Failed hypotheses are reported in
-    the notes, never raised.
+    A deflation run that ends without a square system puts its ``failure``
+    in the notes; otherwise the alpha certificate is applied to the deflated
+    system.  Failed hypotheses are reported in the notes, never raised.
     """
     trace = deflation_sequence(f, x0, backend)
-    notes: list[str] = []
-    for k, step in enumerate(trace.steps):
-        if step.kind == "extraction":
-            continue
-        if step.gate is not None and not step.gate.passed:
-            notes.append(
-                f"hypothesis 1.1 failed at k={k}: ||F_k(x0)|| = "
-                f"{step.gate.value_norm:.6g} > eta = {step.gate.eta:.6g}"
-            )
     if trace.deflated is None:
-        if not notes:
-            notes.append("deflation did not produce a square system")
         return (
-            CertificateReport(None, None, False, None, None, None, tuple(notes)),
+            CertificateReport(None, None, False, None, None, None, (trace.failure,)),
             trace,
         )
     report = alpha_certificate(trace.deflated, x0, backend)
+    notes = report.notes
     if not report.alpha_ok:
-        notes.append("hypothesis 2 failed: the deflated system fails the alpha test")
+        notes = ("hypothesis 2 failed: the deflated system fails the alpha test",) + notes
     return (
         CertificateReport(
             report.quantities,
@@ -232,8 +224,8 @@ def singular_alpha_certificate(
             report.alpha_ok,
             report.theta_low,
             report.theta_high,
-            gamma_radius(trace.deflated, x0, backend),
-            tuple(notes) + report.notes,
+            _gamma_radius_of(report.quantities),
+            notes,
         ),
         trace,
     )

@@ -21,7 +21,10 @@ entries given as numbers or [re, im] pairs.
 Commands: ``rank``, ``deflate``, ``solve``, ``certify``.  Output is JSON on
 stdout (compact by default, ``--pretty`` for indented), byte-identical
 across runs on the same input.  Exit codes: 0 success or report, 1 usage or
-parse error, 2 gate/extraction failure, 3 internal numerical error.
+parse error, 2 a failed deflation hypothesis, 3 internal numerical error
+(unreachable on well-posed input).  ``deflate`` exits 2 with its trace, whose
+``failure`` names the hypothesis; ``certify`` exits 0 and lists it in
+``notes``; ``solve`` stops at the point where a hypothesis fails and exits 0.
 """
 
 from __future__ import annotations
@@ -41,12 +44,7 @@ from .deflation import (
     newton_iterate,
     select_detailed,
 )
-from .errors import (
-    ExtractionError,
-    MultirootError,
-    ParseError,
-    TruncationExhaustedError,
-)
+from .errors import HypothesisFailure, MultirootError, ParseError
 from .rank import RankReport, numerical_rank
 from .series import AnalyticSystem, TruncatedSeries, jacobian, ts_recenter
 
@@ -220,6 +218,7 @@ def build_trace_report(trace: DeflationTrace) -> dict:
         "p": trace.p,
         "mu_values": list(trace.mu_values),
         "steps": steps,
+        "failure": trace.failure,
     }
 
 
@@ -362,7 +361,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"deflate: parse error: {exc}\n")
         return 1
-    except (ExtractionError, TruncationExhaustedError) as exc:
+    except HypothesisFailure as exc:
         sys.stderr.write(f"deflate: {exc}\n")
         return 2
     except MultirootError as exc:

@@ -34,8 +34,7 @@ from .bergman import BallContext, norm_a2, series_norm_a2
 from .errors import (
     DomainError,
     ExtractionError,
-    LinearSolveError,
-    NonTerminationError,
+    HypothesisFailure,
     RankDeficiencyError,
     TruncationExhaustedError,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "DeflationTrace",
     "eta_threshold",
     "is_small",
-    "select",
     "select_detailed",
     "pivot_selection",
     "kernel_op",
@@ -93,8 +91,10 @@ ALPHA0 = _first_positive_root_alpha0()
 C0 = float(sum(0.5 ** (2**k - 1) for k in range(8)))
 
 _STAGNATION_RTOL = 1e-15
-# Brute-force extraction is exact-optimal; beyond this many subsets fall back
-# to greedy complete pivoting on the transposed Jacobian.
+# Caps on the candidates of the exhaustive pivot-block and extraction
+# searches; beyond them greedy complete pivoting (``pivot_selection``) picks
+# the pivot block, or the equations from the transposed Jacobian.
+_PIVOT_BRUTE_LIMIT = 2000
 _EXTRACT_BRUTE_LIMIT = 5000
 
 
@@ -142,7 +142,13 @@ class DeflationStep:
 
 @dataclass(frozen=True)
 class DeflationTrace:
-    """The full record of a deflation run."""
+    """The full record of a deflation run.
+
+    A run ends in a deflated square system or in ``failure``, which names the
+    failed hypothesis, the index k of the system F_k it failed on, and the
+    detail.  The steps are those completed before the failure; p0 and p are
+    0 when the first selection failed.
+    """
 
     steps: tuple[DeflationStep, ...]
     thickness: int
@@ -152,6 +158,7 @@ class DeflationTrace:
     p0: int
     p: int
     mu_values: tuple[float, ...]
+    failure: str | None
 
     @property
     def gate_failed(self) -> bool:
@@ -247,7 +254,8 @@ def _select_walk(
 def select_detailed(
     f: AnalyticSystem, x0: Sequence[complex], backend: str
 ) -> tuple[AnalyticSystem, tuple[SelectionRecord, ...]]:
-    """Selection operator with provenance records for each retained equation."""
+    """Selection operator S, recursive smallness-gated derivative replacement,
+    with provenance records for each retained equation."""
     ball = BallContext.of(f)
     retained: list[tuple[TruncatedSeries, SelectionRecord]] = []
     for k, eq in enumerate(f.equations):
@@ -260,12 +268,6 @@ def select_detailed(
         )
     system = f.with_equations(series for series, _ in retained)
     return system, tuple(rec for _, rec in retained)
-
-
-def select(f: AnalyticSystem, x0: Sequence[complex], backend: str) -> AnalyticSystem:
-    """Selection operator S: recursive smallness-gated derivative replacement."""
-    system, _records = select_detailed(f, x0, backend)
-    return system
 
 
 def pivot_selection(j0, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -324,11 +326,6 @@ def _schur_residual(j0: np.ndarray, values: np.ndarray, rows, cols) -> float:
         )
         acc += float(np.sum(np.abs(schur) ** 2))
     return math.sqrt(acc)
-
-
-# Candidate caps for the exhaustive pivot/extraction searches; beyond them the
-# greedy complete-pivoting / RRQR fallbacks take over.
-_PIVOT_BRUTE_LIMIT = 2000
 
 
 def _kerneling_pivots(
@@ -468,44 +465,70 @@ def _run_rounds(
     max_iters: int,
     truncation_orders: Sequence[int] | None,
 ) -> DeflationTrace:
-    """Shared loop behind deflation_sequence and truncated_deflation."""
+    """Shared loop behind deflation_sequence and truncated_deflation.
+
+    Ends in the extracted square system or, at the first failed hypothesis,
+    in a trace whose ``failure`` names it.  ``truncation_orders``, when
+    given, holds max_iters + 1 orders: one per selection the cap allows.
+    """
     ball = BallContext.of(f)
-    current, records = select_detailed(f, x0, backend)
-    if truncation_orders is not None:
-        current = current.with_equations(
-            ts_truncate(eq, min(eq.order, truncation_orders[0]))
-            for eq in current.equations
-        )
-    p0 = max(rec.depth for rec in records) + 1
-    round_valuations: list[int] = []
-    mu_values: list[float] = []
     steps: list[DeflationStep] = []
-    kind = "selection"
+    mu_values: list[float] = []
+    valuations: list[int] = []  # of each selection: p0, then one per round
     rounds = 0
-    while True:
-        gate = is_small(current, x0, ball, backend)
-        if not gate.passed:
-            steps.append(
-                DeflationStep(kind, current, gate, None, None, None, records)
-            )
-            return DeflationTrace(
-                steps=tuple(steps),
-                thickness=rounds,
-                deflated=None,
-                input_system=f,
-                deflated_indices=None,
-                p0=p0,
-                p=max(round_valuations) if round_valuations else p0,
-                mu_values=tuple(mu_values),
-            )
-        j0 = jacobian(current).eval_at(x0)
-        report = numerical_rank(j0)
-        if report.rank == 0:
-            raise RankDeficiencyError(
-                "numerical rank 0 after selection; every selected equation "
-                "should contribute a nonzero gradient"
-            )
-        if report.rank < current.dim:
+
+    def trace(deflated=None, indices=None, failure=None) -> DeflationTrace:
+        p0 = valuations[0] if valuations else 0
+        return DeflationTrace(
+            steps=tuple(steps),
+            thickness=rounds,
+            deflated=deflated,
+            input_system=f,
+            deflated_indices=indices,
+            p0=p0,
+            p=max(valuations[1:], default=p0),
+            mu_values=tuple(mu_values),
+            failure=failure,
+        )
+
+    current, kind = f, "selection"
+    try:
+        while True:
+            current, records = select_detailed(current, x0, backend)
+            if truncation_orders is not None:
+                current = current.with_equations(
+                    ts_truncate(eq, min(eq.order, truncation_orders[rounds]))
+                    for eq in current.equations
+                )
+            valuations.append(max(rec.depth for rec in records) + 1)
+            gate = is_small(current, x0, ball, backend)
+            if not gate.passed:
+                steps.append(DeflationStep(kind, current, gate, None, None, None, records))
+                failure = (
+                    f"hypothesis 1.1 failed at k={rounds}: ||F_k(x0)|| = "
+                    f"{gate.value_norm:.6g} > eta = {gate.eta:.6g}"
+                )
+                break
+            j0 = jacobian(current).eval_at(x0)
+            report = numerical_rank(j0)
+            if report.rank == 0:
+                failure = (
+                    f"numerical rank 0 at k={rounds}: no selected equation has "
+                    "a nonzero gradient at x0"
+                )
+                break
+            if report.rank == current.dim:
+                square, chosen, square_report = _extract_square_indexed(current, x0, j0)
+                mu_values.append(1.0 / square_report.sigma[-1])
+                steps.append(
+                    DeflationStep(kind, current, gate, report, chosen, tuple(range(current.dim)), records, mu_values[-1])
+                )
+                steps.append(
+                    DeflationStep(
+                        "extraction", square, None, square_report, chosen, tuple(range(current.dim)), ()
+                    )
+                )
+                return trace(square, chosen)
             pivots = _kerneling_pivots(j0, system_evaluate(current, x0), report.rank)
             a0 = j0[np.ix_(pivots[0], pivots[1])]
             mu_values.append(float(1.0 / np.linalg.svd(a0, compute_uv=False)[-1]))
@@ -514,45 +537,15 @@ def _run_rounds(
             )
             rounds += 1
             if rounds > max_iters:
-                raise NonTerminationError(
-                    f"deflation exceeded {max_iters} kerneling rounds"
+                failure = (
+                    f"round cap at k={rounds}: deflation exceeded {max_iters} "
+                    "kerneling rounds"
                 )
-            kerneled = kernel_op(current, x0, report, pivots)
-            current, records = select_detailed(kerneled, x0, backend)
-            if truncation_orders is not None:
-                if rounds >= len(truncation_orders):
-                    raise NonTerminationError(
-                        "truncated deflation needs more rounds than its order "
-                        "schedule allows; increase ell"
-                    )
-                current = current.with_equations(
-                    ts_truncate(eq, min(eq.order, truncation_orders[rounds]))
-                    for eq in current.equations
-                )
-            round_valuations.append(max(rec.depth for rec in records) + 1)
-            kind = "kerneling"
-            continue
-        # Full rank: extract and stop.
-        square, chosen, square_report = _extract_square_indexed(current, x0, j0)
-        mu_values.append(1.0 / square_report.sigma[-1])
-        steps.append(
-            DeflationStep(kind, current, gate, report, chosen, tuple(range(current.dim)), records, mu_values[-1])
-        )
-        steps.append(
-            DeflationStep(
-                "extraction", square, None, square_report, chosen, tuple(range(current.dim)), ()
-            )
-        )
-        return DeflationTrace(
-            steps=tuple(steps),
-            thickness=rounds,
-            deflated=square,
-            input_system=f,
-            deflated_indices=chosen,
-            p0=p0,
-            p=max(round_valuations) if round_valuations else p0,
-            mu_values=tuple(mu_values),
-        )
+                break
+            current, kind = kernel_op(current, x0, report, pivots), "kerneling"
+    except HypothesisFailure as exc:
+        failure = f"{type(exc).__name__} at k={rounds}: {exc}"
+    return trace(failure=failure)
 
 
 def deflation_sequence(
@@ -563,9 +556,11 @@ def deflation_sequence(
 ) -> DeflationTrace:
     """F0 = S(f), F_{k+1} = S(K(F_k)) until the Jacobian reaches rank n.
 
-    Each round gates ||F(x0)|| against eta(||F||); a failed gate ends the run
-    with ``deflated = None`` and the failing gate on record.  The iteration
-    cap is a numerical safety net only (the exact theory terminates by strict
+    Each round gates ||F(x0)|| against eta(||F||).  A failed hypothesis (the
+    gate, a selection that retains nothing, no pivot block, no extraction)
+    ends the run with ``deflated = None`` and ``failure`` naming it; a failed
+    gate is also on record in the last step.  The iteration cap is a
+    numerical safety net only (the exact theory terminates by strict
     multiplicity drop).
     """
     if max_iters is None:
@@ -612,11 +607,8 @@ def singular_newton_step(
         return x0
     square = trace.deflated
     j0 = jacobian(square).eval_at(x0)
-    v = system_evaluate(square, x0)
-    try:
-        delta = np.linalg.solve(j0, v)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - extraction certifies rank
-        raise LinearSolveError("deflated Jacobian failed to solve") from exc
+    # Extraction certified the rank, so the solve succeeds.
+    delta = np.linalg.solve(j0, system_evaluate(square, x0))
     return tuple(complex(a - b) for a, b in zip(x0, delta))
 
 
@@ -641,7 +633,7 @@ def newton_iterate(
         prev = traj[-1]
         nxt = singular_newton_step(f, prev, backend)
         if nxt == prev:
-            # Gate failure or an exact fixed point: record once and stop.
+            # A failed hypothesis or an exact fixed point: record once and stop.
             traj.append(nxt)
             break
         move = math.sqrt(sum(abs(a - b) ** 2 for a, b in zip(nxt, prev)))

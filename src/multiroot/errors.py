@@ -1,4 +1,14 @@
-"""Exception hierarchy shared by all multiroot modules."""
+"""Exception hierarchy shared by all multiroot modules.
+
+A deflation run never raises a ``HypothesisFailure``: it names the failure in
+its trace's ``failure`` and stops.  The public helpers it calls
+(``select_detailed``, ``pivot_selection``, ``schur_complement``,
+``extract_square``) still raise one when called directly.  Malformed input
+(``StructuralError``, ``DomainError``, ``ParseError``) always raises.
+
+The CLI exits 2 on a failed hypothesis (``deflate`` names it in ``failure``)
+and 3 on any other ``MultirootError``, which well-posed input does not reach.
+"""
 
 
 class MultirootError(Exception):
@@ -13,32 +23,28 @@ class DomainError(MultirootError):
     """An input lies outside the mathematical domain of the operation."""
 
 
-class SingularPivotError(MultirootError):
+class HypothesisFailure(MultirootError):
+    """A hypothesis of the deflation fails at the working point."""
+
+
+class SingularPivotError(HypothesisFailure):
     """A pivot block (or constant term) is numerically singular."""
 
 
-class RankDeficiencyError(MultirootError):
+class RankDeficiencyError(HypothesisFailure):
     """A pivot search contradicts the rank certified for the matrix."""
 
 
-class TruncationExhaustedError(MultirootError):
+class TruncationExhaustedError(HypothesisFailure):
     """Selection needs derivatives beyond the stored truncation order."""
 
 
-class ExtractionError(MultirootError):
+class ExtractionError(HypothesisFailure):
     """No square subsystem of full numerical rank could be extracted."""
-
-
-class NonTerminationError(MultirootError):
-    """The deflation loop exceeded its iteration safety cap."""
 
 
 class CertificateUnavailableError(MultirootError):
     """A certificate cannot be computed from the supplied data."""
-
-
-class LinearSolveError(MultirootError):
-    """A linear system that was certified regular failed to solve."""
 
 
 class ParseError(MultirootError):

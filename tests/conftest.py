@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from multiroot.bergman import BallContext
 from multiroot.cli import parse_system
 from multiroot.deflation import deflation_sequence, select_detailed
 from multiroot.series import AnalyticSystem, TruncatedSeries, recenter_system
@@ -130,3 +132,35 @@ def interior_point(rng, n=2, max_nu=0.8, radius=1.0, real=False):
     g = g / np.linalg.norm(g)
     r = radius * max_nu * rng.random() ** (1.0 / (2 * n))
     return tuple(r * g)
+
+
+def monte_carlo_norm_complex(
+    f: TruncatedSeries,
+    ball: BallContext,
+    samples: int = 1_000_000,
+    *,
+    seed: int,
+) -> float:
+    """Monte Carlo estimate of the complex-ball norm (oracle for tests).
+
+    The measure is normalized, so the squared norm is just the mean of |f|^2
+    over points drawn uniformly from the complex ball (real dimension 2n).
+    Evaluation is vectorized over the sample batch.
+    """
+    n = ball.dim
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((samples, 2 * n))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    radii = ball.radius * rng.random(samples) ** (1.0 / (2 * n))
+    pts = radii[:, None] * g
+    z = pts[:, :n] + 1j * pts[:, n:]
+    z += np.array(ball.omega, dtype=complex)[None, :]
+    dz = z - np.array(f.center, dtype=complex)[None, :]
+    vals = np.zeros(samples, dtype=complex)
+    for alpha, c in f.coefficients.items():
+        term = np.full(samples, c, dtype=complex)
+        for i, a in enumerate(alpha):
+            if a:
+                term *= dz[:, i] ** a
+        vals += term
+    return math.sqrt(float(np.mean(np.abs(vals) ** 2)))

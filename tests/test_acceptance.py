@@ -13,7 +13,6 @@ from multiroot.bergman import (
     COMPLEX_EXACT,
     BallContext,
     derivative_bound,
-    monte_carlo_norm_complex,
     norm_a2,
     series_norm_a2,
 )
@@ -42,6 +41,7 @@ from conftest import (
     SELECTED_GOLDEN,
     assert_system_multiset,
     interior_point,
+    monte_carlo_norm_complex,
     random_polynomial,
 )
 from test_certificates import linear_golden_system, random_regular_system

@@ -11,7 +11,6 @@ from multiroot.bergman import (
     gamma_bar_bound,
     kappa,
     lambda_bound,
-    monte_carlo_norm_complex,
     norm_a2,
     nu,
     series_norm_a2,
@@ -25,7 +24,12 @@ from multiroot.series import (
     ts_evaluate,
 )
 
-from conftest import interior_point, random_polynomial, random_system
+from conftest import (
+    interior_point,
+    monte_carlo_norm_complex,
+    random_polynomial,
+    random_system,
+)
 
 C2 = (0.0, 0.0)
 BALL = BallContext(C2, 1.0, 2)

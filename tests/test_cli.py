@@ -41,24 +41,37 @@ def regular_fixture(tmp_path, point=(0.4995, 0.5005), name="regular.json"):
     )
 
 
-def kss5_root_fixture(tmp_path):
-    """KSS n = 5, x_i^2 + sum_j x_j - 2 x_i - 4, at its root (1, ..., 1)."""
-    n = 5
+def kss_fixture(tmp_path, point):
+    """KSS, x_i^2 + sum_j x_j - 2 x_i - n + 1 with root (1, ..., 1), at
+    ``point``.  The terms come in the benchmark generator's order (square,
+    linear, constant), so the file parses to the benchmark's input."""
+    n = len(point)
     unit = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
     equations = [
-        [[[1.0, 0.0], [2 * e for e in unit[i]]], [[-4.0, 0.0], [0] * n]]
+        [[[1.0, 0.0], [2 * e for e in unit[i]]]]
         + [[[-1.0 if j == i else 1.0, 0.0], unit[j]] for j in range(n)]
+        + [[[float(1 - n), 0.0], [0] * n]]
         for i in range(n)
     ]
     payload = {
         "vars": [f"x{i}" for i in range(n)],
         "equations": equations,
-        "point": [[1.0, 0.0]] * n,
+        "point": [[float(v), 0.0] for v in point],
         "radius": 1.0,
         "order": 3,
         "norm_backend": "complex",
     }
-    return write_json(tmp_path, "kss5_root.json", payload)
+    return write_json(tmp_path, f"kss{n}.json", payload)
+
+
+# KSS-5 from a start whose perturbation has exact zeros: the Jacobian has
+# exact rank 3, not the root's 1, and the second kerneled system selects
+# nothing.
+KSS5_EXACT_ZEROS = (1.0, 1.0, 1.0, 1 + 8.94e-6, 1 + 4.47e-6)
+# Benchmark inputs whose Newton iterate 1 sits within ~1e-10 of the root,
+# where a later deflation round fails.
+KSS4_004 = (1.0000101092898197, 0.9999958397280523, 1.0000073872024229, 1.0000056209929578)
+KSS4_007 = (0.9999999655786284, 0.9999994243013337, 1.0000009836721946, 0.9999994883739469)
 
 
 def far_fixture(tmp_path):
@@ -238,7 +251,7 @@ class TestCertifyCommand:
 
 class TestKSS5AtRoot:
     def test_rank_is_one(self, capsys, tmp_path):
-        code, out, _ = run_cli(capsys, "rank", "--input", kss5_root_fixture(tmp_path))
+        code, out, _ = run_cli(capsys, "rank", "--input", kss_fixture(tmp_path, (1.0,) * 5))
         assert code == 0
         assert json.loads(out)["rank"] == 1
 
@@ -246,9 +259,47 @@ class TestKSS5AtRoot:
         "argv", [("deflate",), ("solve", "--steps", "4"), ("certify",)]
     )
     def test_commands_succeed(self, capsys, tmp_path, argv):
-        path = kss5_root_fixture(tmp_path)
+        path = kss_fixture(tmp_path, (1.0,) * 5)
         code, _out, err = run_cli(capsys, *argv, "--input", path)
         assert code == 0, err
+
+
+class TestFailedHypothesis:
+    def test_deflate_names_the_failure(self, capsys, tmp_path):
+        path = kss_fixture(tmp_path, KSS5_EXACT_ZEROS)
+        code, out, _ = run_cli(capsys, "deflate", "--input", path)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["deflated"] is None
+        assert payload["failure"].startswith("TruncationExhaustedError at k=2: ")
+
+    def test_certify_reports_the_failure(self, capsys, tmp_path):
+        path = kss_fixture(tmp_path, KSS5_EXACT_ZEROS)
+        code, out, _ = run_cli(capsys, "certify", "--input", path)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["alpha_ok"] is False
+        assert any(n.startswith("TruncationExhaustedError at k=2: ") for n in payload["notes"])
+
+    def test_solve_stops_at_the_start(self, capsys, tmp_path):
+        path = kss_fixture(tmp_path, KSS5_EXACT_ZEROS)
+        code, out, _ = run_cli(capsys, "solve", "--input", path, "--steps", "4")
+        assert code == 0
+        start = [[v, 0.0] for v in KSS5_EXACT_ZEROS]
+        assert json.loads(out)["iterates"] == [start, start]
+
+    def test_round_cap_is_a_failure(self, capsys):
+        code, out, _ = run_cli(capsys, "deflate", "--input", GY2, "--max-iters", "0")
+        assert code == 2
+        assert json.loads(out)["failure"].startswith("round cap at k=1: ")
+
+    @pytest.mark.parametrize("point", [KSS4_004, KSS4_007], ids=["kss4_004", "kss4_007"])
+    def test_solve_near_the_root(self, capsys, tmp_path, point):
+        path = kss_fixture(tmp_path, point)
+        code, out, err = run_cli(capsys, "solve", "--input", path, "--steps", "4")
+        assert code == 0, err
+        last = json.loads(out)["iterates"][-1]
+        assert max(abs(complex(*v) - 1.0) for v in last) < 1e-8
 
 
 class TestReportContract:

@@ -18,7 +18,6 @@ from multiroot.deflation import (
     kernel_op,
     newton_iterate,
     pivot_selection,
-    select,
     select_detailed,
     singular_newton_step,
     truncated_deflation,
@@ -133,7 +132,7 @@ class TestSelect:
         f = AnalyticSystem(
             2, (TruncatedSeries(C2, 1, {(1, 0): 1.0, (0, 0): 1.0}),), C2, 1.0
         )
-        out = select(f, C2, COMPLEX_EXACT)
+        out, _records = select_detailed(f, C2, COMPLEX_EXACT)
         assert out.size == 1
         assert out.equations[0].coefficients == f.equations[0].coefficients
 
@@ -150,7 +149,7 @@ class TestSelect:
             2, (TruncatedSeries(C2, 2, {(0, 0): 1e-20}),), C2, 1.0
         )
         with pytest.raises(TruncationExhaustedError):
-            select(f, C2, COMPLEX_EXACT)
+            select_detailed(f, C2, COMPLEX_EXACT)
 
 
 class TestPivotSelection:
@@ -360,6 +359,27 @@ class TestKSS:
         x0 = (1.0000008602438026, 0.9999960601258012, 1.0000025590583586, 1.0000065761140973)
         traj = newton_iterate(kss(4, x0), x0, 4, COMPLEX_EXACT)
         assert max(abs(v - 1.0) for v in traj[-1]) < 1e-11
+
+    def test_newton_stops_where_no_pivot_block_exists(self):
+        # Iterate 1 lies 3e-15 from the root with two coordinates exactly
+        # 1.0; the a-test reads rank 3 there, but no 3x3 pivot block clears
+        # the rounding floor.  The trajectory ends at that iterate.
+        x0 = (0.9999999655786284, 0.9999994243013337, 1.0000009836721946, 0.9999994883739469)
+        traj = newton_iterate(kss(4, x0), x0, 4, COMPLEX_EXACT)
+        assert math.sqrt(sum(abs(v - 1.0) ** 2 for v in traj[-1])) < 1e-14
+
+    def test_failed_selection_is_a_report(self):
+        # A start whose perturbation has exact zeros: the Jacobian has exact
+        # rank 3, not the root's 1, and the second kerneled system selects
+        # nothing.
+        x0 = (1.0, 1.0, 1.0, 1 + 8.94e-6, 1 + 4.47e-6)
+        f = kss(5, x0)
+        trace = deflation_sequence(f, x0, COMPLEX_EXACT)
+        assert trace.deflated is None and not trace.gate_failed
+        assert trace.failure.startswith("TruncationExhaustedError at k=2: ")
+        report, _trace = singular_alpha_certificate(f, x0, COMPLEX_EXACT)
+        assert report.notes == (trace.failure,)
+        assert newton_iterate(f, x0, 4, COMPLEX_EXACT) == [x0, x0]
 
 
 class TestTruncatedDeflation:

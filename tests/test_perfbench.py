@@ -1,0 +1,24 @@
+"""Smoke run of the benchmark: the library calls it makes still work."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_gy2_appendix_one_cycle():
+    # --seconds 0 runs a single cycle of the 17 gy2 points; no timing bound.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "gy2-appendix", "--seed", "1",
+         "--seconds", "0"],
+        cwd=REPO, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
