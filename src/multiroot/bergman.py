@@ -29,6 +29,7 @@ suite pin ``appendix_slice``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -101,7 +102,8 @@ def kappa(x: Sequence[complex], ball: BallContext) -> float:
     return max(1.0, (ball.dim + 1) / (ball.radius * (1.0 - nx * nx)))
 
 
-def _monomial_weight(alpha, n: int, radius: float) -> float:
+@functools.lru_cache(maxsize=4096, typed=True)
+def _monomial_weight(alpha: tuple[int, ...], n: int, radius: float) -> float:
     deg = sum(alpha)
     w = math.factorial(n) / math.factorial(n + deg)
     for a in alpha:
@@ -118,14 +120,11 @@ def _series_norm_complex(f: TruncatedSeries, ball: BallContext) -> float:
     return math.sqrt(total)
 
 
-def _series_norm_slice_sq(f: TruncatedSeries, ball: BallContext) -> float:
-    if f.center != ball.omega:
-        f = ts_recenter(f, ball.omega, f.order)
-    if not f.coefficients:
-        return 0.0
-    n, radius = ball.dim, ball.radius
-    exps = np.array(list(f.coefficients), dtype=int)
-    coeffs = np.array(list(f.coefficients.values()), dtype=complex)
+@functools.lru_cache(maxsize=512, typed=True)
+def _slice_moments(exponents: tuple[tuple[int, ...], ...], n: int, radius: float) -> np.ndarray:
+    """M[a, b] = the real-ball moment of x^(alpha_a + alpha_b), times the
+    norm's R^(-2n); read-only, because the cache hands out one array."""
+    exps = np.array(exponents, dtype=int)
     gamma = exps[:, None, :] + exps[None, :, :]
     top = int(gamma.max())
     # Gamma((k+1)/2) for even k; odd moments of the symmetric ball vanish.
@@ -134,6 +133,18 @@ def _series_norm_slice_sq(f: TruncatedSeries, ball: BallContext) -> float:
     denom = np.array([math.gamma((d + n) / 2.0 + 1.0) for d in range(deg.max() + 1)])
     # The moment's R^(|gamma|+n) and the prefactor's R^(-2n) combined.
     moments = half[gamma].prod(axis=-1) / denom[deg] * float(radius) ** (deg - n)
+    moments.flags.writeable = False
+    return moments
+
+
+def _series_norm_slice_sq(f: TruncatedSeries, ball: BallContext) -> float:
+    if f.center != ball.omega:
+        f = ts_recenter(f, ball.omega, f.order)
+    if not f.coefficients:
+        return 0.0
+    n = ball.dim
+    moments = _slice_moments(tuple(f.coefficients), n, ball.radius)
+    coeffs = np.array(list(f.coefficients.values()), dtype=complex)
     total = (coeffs @ moments @ coeffs.conj()).real
     return math.factorial(n) / math.pi**n * float(total)
 

@@ -23,8 +23,10 @@ stdout (compact by default, ``--pretty`` for indented), byte-identical
 across runs on the same input.  Exit codes: 0 success or report, 1 usage or
 parse error, 2 a failed deflation hypothesis, 3 internal numerical error
 (unreachable on well-posed input).  ``deflate`` exits 2 with its trace, whose
-``failure`` names the hypothesis; ``certify`` exits 0 and lists it in
-``notes``; ``solve`` stops at the point where a hypothesis fails and exits 0.
+``failure`` names the hypothesis; ``rank`` exits 2 with ``{"failure": ...}``
+in the same wording when the selection fails; ``certify`` exits 0 and lists
+it in ``notes``; ``solve`` stops at the point where a hypothesis fails and
+exits 0.
 """
 
 from __future__ import annotations
@@ -249,7 +251,11 @@ def _cmd_rank(args) -> int:
         report = numerical_rank(np.array(matrix, dtype=complex))
     else:
         system, point, options = parse_system(args.input, args.order, args.norm_backend)
-        selected, _records = select_detailed(system, point, options["backend"])
+        try:
+            selected, _records = select_detailed(system, point, options["backend"])
+        except HypothesisFailure as exc:
+            _emit({"failure": f"{type(exc).__name__} at k=0: {exc}"}, args.pretty)
+            return 2
         report = numerical_rank(jacobian(selected).eval_at(point))
     _emit(_rank_dict(report), args.pretty)
     return 0

@@ -40,8 +40,8 @@ from .errors import (
 )
 from .rank import (
     RankReport,
+    full_rank_mask,
     numerical_rank,
-    rank_from_singular_values,
     rounding_floor,
     singular_values,
 )
@@ -57,6 +57,7 @@ from .series import (
     system_evaluate,
     ts_derivative,
     ts_evaluate,
+    ts_evaluate_many,
     ts_truncate,
 )
 
@@ -222,17 +223,23 @@ def _unit(n: int, i: int) -> tuple[int, ...]:
 def _select_walk(
     eq: TruncatedSeries,
     record: SelectionRecord,
-    pending: tuple[TruncatedSeries, SelectionRecord],
+    pending: tuple[TruncatedSeries, SelectionRecord, float],
     x0: Sequence[complex],
     ball: BallContext,
     backend: str,
-    retained: list[tuple[TruncatedSeries, SelectionRecord]],
+    retained: list[tuple[TruncatedSeries, SelectionRecord, float]],
 ) -> None:
+    """Gate eq and recurse into its derivatives.  ``pending`` is what a failed
+    gate retains (eq's parent, its record and its max_coeff); retained
+    entries carry their max_coeff too, so de-duplication computes none."""
     gate = is_small(eq, x0, ball, backend)
     if not gate.passed:
-        series, rec = pending
-        if not any(series_close(series, kept) for kept, _ in retained):
-            retained.append((series, rec))
+        series, _rec, top = pending
+        if not any(
+            series is kept or series_close(series, kept, scale=1.0 + max(top, kept_top))
+            for kept, _, kept_top in retained
+        ):
+            retained.append(pending)
         return
     if eq.order == 0:
         # A passer with nothing left to differentiate is numerically the
@@ -248,7 +255,7 @@ def _select_walk(
             record.source,
             tuple(a + b for a, b in zip(record.derivative, _unit(eq.dim, i))),
         )
-        _select_walk(d, drec, (eq, record), x0, ball, backend, retained)
+        _select_walk(d, drec, (eq, record, parent_scale), x0, ball, backend, retained)
 
 
 def select_detailed(
@@ -257,17 +264,17 @@ def select_detailed(
     """Selection operator S, recursive smallness-gated derivative replacement,
     with provenance records for each retained equation."""
     ball = BallContext.of(f)
-    retained: list[tuple[TruncatedSeries, SelectionRecord]] = []
+    retained: list[tuple[TruncatedSeries, SelectionRecord, float]] = []
     for k, eq in enumerate(f.equations):
         rec = SelectionRecord(k, (0,) * f.dim)
-        _select_walk(eq, rec, (eq, rec), x0, ball, backend, retained)
+        _select_walk(eq, rec, (eq, rec, max_coeff(eq)), x0, ball, backend, retained)
     if not retained:
         raise TruncationExhaustedError(
             "selection retained no equations: every branch stayed under its "
             "gate to the end of the stored truncation order"
         )
-    system = f.with_equations(series for series, _ in retained)
-    return system, tuple(rec for _, rec in retained)
+    system = f.with_equations(series for series, _, _ in retained)
+    return system, tuple(rec for _, rec, _ in retained)
 
 
 def pivot_selection(j0, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -312,20 +319,23 @@ def pivot_selection(j0, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(row_idx), tuple(col_idx)
 
 
-def _schur_residual(j0: np.ndarray, values: np.ndarray, rows, cols) -> float:
-    """||K(f)(x0)|| for a candidate pivot: pivot-equation values plus the
-    evaluated Schur-complement entries."""
-    s, n = j0.shape
-    other_rows = [i for i in range(s) if i not in set(rows)]
-    other_cols = [j for j in range(n) if j not in set(cols)]
-    a0 = j0[np.ix_(rows, cols)]
-    acc = float(np.sum(np.abs(values[list(rows)]) ** 2))
-    if other_rows and other_cols:
-        schur = j0[np.ix_(other_rows, other_cols)] - j0[np.ix_(other_rows, cols)] @ np.linalg.solve(
-            a0, j0[np.ix_(rows, other_cols)]
-        )
-        acc += float(np.sum(np.abs(schur) ** 2))
-    return math.sqrt(acc)
+def _pivot_residuals(
+    j0: np.ndarray, values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+    other_rows: np.ndarray, other_cols: np.ndarray,
+) -> np.ndarray:
+    """||K(f)(x0)|| for each candidate pivot (rows[i], cols[i]): the pivot
+    equations' values and the evaluated Schur-complement entries
+    D - C A^{-1} B, over the complementary rows and columns, for the whole
+    stack of candidates at once."""
+    acc = np.sum(np.abs(values[rows]) ** 2, axis=-1)
+    if other_rows.shape[1] and other_cols.shape[1]:
+        a = j0[rows[:, :, None], cols[:, None, :]]
+        b = j0[rows[:, :, None], other_cols[:, None, :]]
+        c = j0[other_rows[:, :, None], cols[:, None, :]]
+        d = j0[other_rows[:, :, None], other_cols[:, None, :]]
+        schur = d - c @ np.linalg.solve(a, b)
+        acc = acc + np.sum(np.abs(schur.reshape(len(acc), -1)) ** 2, axis=-1)
+    return np.sqrt(acc)
 
 
 def _kerneling_pivots(
@@ -349,17 +359,20 @@ def _kerneling_pivots(
     rows_a, cols_a = np.array(row_sets), np.array(col_sets)
     blocks = j0[rows_a[:, None, :, None], cols_a[None, :, None, :]]
     smin = singular_values(blocks, scale)[..., -1]
-    candidates: list[tuple[float, tuple[int, ...], tuple[int, ...]]] = []
-    for i, rows in enumerate(row_sets):
-        for j, cols in enumerate(col_sets):
-            if smin[i, j] == 0.0:
-                continue
-            candidates.append((_schur_residual(j0, values, rows, cols), cols, rows))
-    if not candidates:
+    ii, jj = np.nonzero(smin != 0.0)
+    if not ii.size:
         raise RankDeficiencyError(
             f"no nonsingular {r}x{r} pivot block found (rank report disagrees "
             "with the matrix)"
         )
+    other_rows = np.array([[i for i in range(s) if i not in rs] for rs in row_sets], dtype=int)
+    other_cols = np.array([[j for j in range(n) if j not in cs] for cs in col_sets], dtype=int)
+    residuals = _pivot_residuals(
+        j0, values, rows_a[ii], cols_a[jj], other_rows[ii], other_cols[jj]
+    )
+    candidates = [
+        (float(k), col_sets[j], row_sets[i]) for k, i, j in zip(residuals, ii, jj)
+    ]
     kmin = min(c[0] for c in candidates)
     band = kmin * (1.0 + 1e-3) + 1e-15 * scale
     tied = [c for c in candidates if c[0] <= band]
@@ -409,24 +422,21 @@ def _extract_square_indexed(
     elif math.comb(s, n) <= _EXTRACT_BRUTE_LIMIT:
         values = system_evaluate(f, x0)
         x0a = np.array([complex(t) for t in x0])
-        best: tuple[float, tuple[int, ...]] | None = None
-        combos = list(combinations(range(s), n))
-        sigmas = singular_values(j0[np.array(combos)])
-        for combo, sigma in zip(combos, sigmas):
-            idx = list(combo)
-            # A full-rank report certifies sigma_n > 0, so the solve succeeds.
-            if not rank_from_singular_values(sigma).full_rank:
-                continue
-            delta = np.linalg.solve(j0[idx, :], values[idx])
-            candidate = tuple(x0a - delta)
-            residual = float(
-                np.linalg.norm([ts_evaluate(eq, candidate) for eq in f.equations])
-            )
-            if best is None or (residual, combo) < best:
-                best = (residual, combo)
-        if best is None:
+        combos = np.array(list(combinations(range(s), n)))
+        # A full-rank report certifies sigma_n > 0, so the solves succeed.
+        admitted = combos[full_rank_mask(singular_values(j0[combos]))]
+        if not len(admitted):
             raise ExtractionError("no equation subset achieves full numerical rank")
-        chosen = best[1]
+        # Each admitted subset's Newton point, and every equation at all of them.
+        delta = np.linalg.solve(j0[admitted], values[admitted][..., None])[..., 0]
+        points = x0a - delta
+        at_points = np.empty((len(admitted), s), dtype=complex)
+        for e, eq in enumerate(f.equations):
+            at_points[:, e] = ts_evaluate_many(eq, points)
+        _residual, chosen = min(
+            (float(np.linalg.norm(v)), tuple(int(i) for i in combo))
+            for v, combo in zip(at_points, admitted)
+        )
     else:
         # Pivot columns of the transpose are well-conditioned equation rows.
         _rows, cols = pivot_selection(j0.T, n)

@@ -40,6 +40,7 @@ __all__ = [
     "rank_quantities",
     "numerical_rank",
     "rank_from_singular_values",
+    "full_rank_mask",
 ]
 
 A_THRESHOLD = 1.0 / 9.0
@@ -180,3 +181,28 @@ def rank_from_singular_values(sigma) -> RankReport:
         epsilon=float(epsilon),
         full_rank=True,
     )
+
+
+def full_rank_mask(sigmas) -> np.ndarray:
+    """``rank_from_singular_values(sigma).full_rank`` for each row of a stack
+    of ``singular_values`` outputs, k x n.
+
+    The same recurrence, divisions and comparisons in the same order, carried
+    out on columns of the stack, so every entry equals the one-matrix test.
+    """
+    sigmas = np.asarray(sigmas, dtype=float)
+    k, n = sigmas.shape
+    s = [np.ones(k)]
+    for x in sigmas.T:
+        s.append(np.zeros(k))
+        for j in range(len(s) - 1, 0, -1):
+            s[j] = s[j] + x * s[j - 1]
+    deficient = np.zeros(k, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in range(1, n + 1):
+            denom = s[n - m]
+            b = s[n - m + 1] / denom
+            a = b if m == n else b * (s[n - m - 1] / denom)
+            # A zero denominator leaves a_m undefined, and the scan skips it.
+            deficient |= (denom != 0.0) & (a < A_THRESHOLD)
+    return ~deficient

@@ -35,6 +35,7 @@ __all__ = [
     "ts_mul",
     "ts_derivative",
     "ts_evaluate",
+    "ts_evaluate_many",
     "ts_recenter",
     "ts_truncate",
     "max_coeff",
@@ -54,7 +55,7 @@ Point = tuple[complex, ...]
 
 
 def _as_point(x: Sequence[complex]) -> Point:
-    return tuple(complex(v) for v in x)
+    return tuple(map(complex, x))
 
 
 def _grlex_key(alpha: Exponent) -> tuple[int, Exponent]:
@@ -242,13 +243,11 @@ def ts_evaluate(f: TruncatedSeries, x: Sequence[complex]) -> complex:
     x = _as_point(x)
     if len(x) != f.dim:
         raise StructuralError(f"point has dimension {len(x)}, expected {f.dim}")
+    if x == f.center:
+        # Every other term is multiplied by an exact zero.
+        return complex(f.constant)
     dx = [xi - ci for xi, ci in zip(x, f.center)]
-    # Per-variable power tables up to the largest exponent actually stored.
-    maxexp = [0] * f.dim
-    for alpha in f.coefficients:
-        for i, a in enumerate(alpha):
-            if a > maxexp[i]:
-                maxexp[i] = a
+    maxexp = _max_exponents(f)
     powers = []
     for i in range(f.dim):
         row = [1.0 + 0.0j]
@@ -263,6 +262,63 @@ def ts_evaluate(f: TruncatedSeries, x: Sequence[complex]) -> complex:
                 term *= powers[i][a]
         total += term
     return total
+
+
+def _max_exponents(f: TruncatedSeries) -> list[int]:
+    """Per-variable largest exponent stored: the length of each power table."""
+    maxexp = [0] * f.dim
+    for alpha in f.coefficients:
+        for i, a in enumerate(alpha):
+            if a > maxexp[i]:
+                maxexp[i] = a
+    return maxexp
+
+
+def ts_evaluate_many(f: TruncatedSeries, points) -> np.ndarray:
+    """Values of f at each row of a k x n array of points.
+
+    Entry j is bit for bit ``ts_evaluate(f, points[j])``: the same power
+    tables, the same per-variable product order within a term (a zero
+    exponent skipped), and the terms summed one after another in stored
+    order.  Complex products are formed from real and imaginary parts as
+    Python forms them; numpy's complex multiply may fuse them into FMAs,
+    which moves the last bit.
+    """
+    points = np.asarray(points, dtype=complex)
+    if points.ndim != 2 or points.shape[1] != f.dim:
+        raise StructuralError(f"points have shape {points.shape}, expected (k, {f.dim})")
+    k = points.shape[0]
+    out = np.zeros(k, dtype=complex)
+    if not f.coefficients:
+        return out
+    center = np.array(f.center, dtype=complex)
+    dxr = points.real - center.real
+    dxi = points.imag - center.imag
+    exps = np.array(list(f.coefficients), dtype=int)
+    coeffs = np.array(list(f.coefficients.values()), dtype=complex)
+    # Each term's running product over the points, one row per term.
+    tr = np.repeat(coeffs.real[:, None], k, axis=1)
+    ti = np.repeat(coeffs.imag[:, None], k, axis=1)
+    for i, top in enumerate(_max_exponents(f)):
+        if not top:
+            continue
+        # powers[a] = dx_i^a as ts_evaluate builds it, from 1 + 0j.
+        pr = np.empty((top + 1, k))
+        pi = np.empty((top + 1, k))
+        pr[0], pi[0] = 1.0, 0.0
+        for a in range(1, top + 1):
+            pr[a] = pr[a - 1] * dxr[:, i] - pi[a - 1] * dxi[:, i]
+            pi[a] = pr[a - 1] * dxi[:, i] + pi[a - 1] * dxr[:, i]
+        rows = np.flatnonzero(exps[:, i])
+        qr, qi = pr[exps[rows, i]], pi[exps[rows, i]]
+        ar, ai = tr[rows], ti[rows]
+        tr[rows] = ar * qr - ai * qi
+        ti[rows] = ar * qi + ai * qr
+    # The running sum from 0 + 0j; accumulate starts from the first term,
+    # which differs from it only in the sign of a zero, and + 0.0 clears that.
+    out.real = np.add.accumulate(tr, axis=0)[-1] + 0.0
+    out.imag = np.add.accumulate(ti, axis=0)[-1] + 0.0
+    return out
 
 
 def ts_recenter(
@@ -316,11 +372,18 @@ def is_zero_series(f: TruncatedSeries, ref_magnitude: float | None = None) -> bo
     return m <= ZERO_RTOL * (1.0 + ref)
 
 
-def series_close(a: TruncatedSeries, b: TruncatedSeries) -> bool:
-    """Coefficient-wise equality up to the package zero threshold."""
+def series_close(
+    a: TruncatedSeries, b: TruncatedSeries, *, scale: float | None = None
+) -> bool:
+    """Coefficient-wise equality up to the package zero threshold.
+
+    ``scale`` is 1 + max(max_coeff(a), max_coeff(b)); a caller that already
+    holds both maxima may pass it.
+    """
     if a.dim != b.dim or a.center != b.center:
         return False
-    scale = 1.0 + max(max_coeff(a), max_coeff(b))
+    if scale is None:
+        scale = 1.0 + max(max_coeff(a), max_coeff(b))
     keys = set(a.coefficients) | set(b.coefficients)
     return all(
         abs(a.coefficients.get(k, 0.0) - b.coefficients.get(k, 0.0))

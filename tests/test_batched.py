@@ -1,0 +1,260 @@
+"""The batched helpers of one deflation round against their one-item forms.
+
+Each batched helper promises the one-item result bit for bit, so every
+comparison here is exact: values are compared as raw float bits, which also
+tells +0.0 from -0.0.
+"""
+
+import importlib.util
+import math
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from multiroot.bergman import (
+    APPENDIX_SLICE,
+    BallContext,
+    _monomial_weight,
+    _slice_moments,
+    series_norm_a2,
+)
+from multiroot.deflation import _extract_square_indexed, _kerneling_pivots, _pivot_residuals
+from multiroot.rank import full_rank_mask, rank_from_singular_values, singular_values
+from multiroot.series import (
+    AnalyticSystem,
+    TruncatedSeries,
+    jacobian,
+    system_evaluate,
+    ts_derivative,
+    ts_evaluate,
+    ts_evaluate_many,
+    ts_recenter,
+)
+
+from conftest import REPO, kss, random_polynomial, random_system
+
+
+def _load_gen():
+    spec = importlib.util.spec_from_file_location("perfbench_gen", REPO / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+def family_equations():
+    """Every benchmark family equation, recentered at a seeded point near its
+    root at the family's order, as ``parse_system`` builds it."""
+    rng = np.random.default_rng(802)
+    out = []
+    for name, (equations, root, order) in _load_gen().FAMILIES.items():
+        n = len(equations[0][0][1])
+        center = tuple(root + 1e-4 * rng.standard_normal(n))
+        for k, terms in enumerate(equations):
+            degree = max(sum(e) for _c, e in terms)
+            full = TruncatedSeries((0.0,) * n, max(degree, order), {e: c for c, e in terms})
+            out.append((f"{name}[{k}]", ts_recenter(full, center, order)))
+    return out
+
+
+FAMILY_EQUATIONS = family_equations()
+
+
+def seeded_points(f: TruncatedSeries, rng) -> np.ndarray:
+    """16 points: the center itself, then offsets from 1e-9 to 1."""
+    center = np.array(f.center)
+    offsets = rng.standard_normal((15, f.dim)) + 1j * rng.standard_normal((15, f.dim))
+    offsets *= np.logspace(-9, 0, 15)[:, None]
+    return np.vstack([center, center + offsets])
+
+
+class TestEvaluateMany:
+    @pytest.mark.parametrize(
+        "index,eq", enumerate(eq for _, eq in FAMILY_EQUATIONS), ids=[n for n, _ in FAMILY_EQUATIONS]
+    )
+    def test_family_equation_and_derivatives(self, index, eq):
+        rng = np.random.default_rng(index)
+        series = [eq] + [ts_derivative(eq, i) for i in range(eq.dim)]
+        for f in series:
+            points = seeded_points(f, rng)
+            want = [ts_evaluate(f, x) for x in points]
+            got = ts_evaluate_many(f, points)
+            assert all(g == w for g, w in zip(got, want))
+            assert np.array_equal(bits(got), bits(want))
+
+    def test_random_complex_series(self):
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 4):
+            f = random_polynomial(rng, n=n, degree=4, center=tuple(rng.standard_normal(n)))
+            points = seeded_points(f, rng)
+            want = [ts_evaluate(f, x) for x in points]
+            assert np.array_equal(bits(ts_evaluate_many(f, points)), bits(want))
+
+    def test_zero_series(self):
+        f = TruncatedSeries((0.5, 0.5), 2, {})
+        assert np.array_equal(bits(ts_evaluate_many(f, np.ones((3, 2)))), bits(np.zeros(3)))
+
+
+class TestCenterShortcut:
+    def test_value_is_the_constant(self):
+        rng = np.random.default_rng(11)
+        f = random_polynomial(rng, n=3, degree=3, center=(0.1, -0.2j, 0.3))
+        assert ts_evaluate(f, f.center) == f.constant
+
+    def test_no_constant_term_gives_zero(self):
+        f = TruncatedSeries((1.0, 2.0), 2, {(1, 0): 3.0, (1, 1): -1.0})
+        value = ts_evaluate(f, f.center)
+        assert value == f.constant == 0
+        assert isinstance(value, complex)
+
+    def test_jacobian_is_the_linear_coefficients(self):
+        x0 = (1.0 + 1e-4, 1.0 - 2e-4, 1.0 + 3e-5, 1.0)
+        system = kss(4, x0)
+        j0 = jacobian(system).eval_at(system.center)
+        linear = [
+            [eq.coefficient(tuple(int(k == j) for k in range(4))) for j in range(4)]
+            for eq in system.equations
+        ]
+        assert np.array_equal(j0, np.array(linear, dtype=complex))
+
+
+def reference_full_rank(stack) -> list[bool]:
+    return [rank_from_singular_values(s).full_rank for s in stack]
+
+
+class TestFullRankMask:
+    def test_random_stacks(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 7):
+            # Half the rows spread over 14 decades, half over less than one.
+            logs = rng.uniform(-14.0, 0.0, size=(200, n)) * rng.choice([1.0, 0.05], (200, 1))
+            stack = -np.sort(-(10.0**logs), axis=1)
+            mask = full_rank_mask(stack).tolist()
+            assert mask == reference_full_rank(stack)
+            assert n == 1 or (any(mask) and not all(mask))
+
+    def test_exact_zeros(self):
+        rng = np.random.default_rng(4)
+        for n in range(1, 7):
+            stack = -np.sort(-rng.random((100, n)), axis=1)
+            for row, zeros in zip(stack, rng.integers(0, n + 1, size=len(stack))):
+                if zeros:
+                    row[n - zeros:] = 0.0
+            assert full_rank_mask(stack).tolist() == reference_full_rank(stack)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_ones_matrix(self, n):
+        stack = singular_values(np.ones((1, n, n)))
+        assert full_rank_mask(stack).tolist() == reference_full_rank(stack) == [False]
+
+    def test_zero_matrix_and_one_by_one_blocks(self):
+        zero = singular_values(np.zeros((1, 3, 3)))
+        assert full_rank_mask(zero).tolist() == reference_full_rank(zero)
+        rng = np.random.default_rng(5)
+        blocks = rng.standard_normal((50, 1, 1)) * 10.0 ** rng.uniform(-3, 1, (50, 1, 1))
+        blocks[::7] = 0.0
+        stack = singular_values(blocks)
+        assert full_rank_mask(stack).tolist() == reference_full_rank(stack)
+        # a_1 = sigma for a 1x1 block: exactly at, just below and above 1/9.
+        edge = np.array([[1.0 / 9.0], [np.nextafter(1.0 / 9.0, 0.0)], [0.5]])
+        assert full_rank_mask(edge).tolist() == reference_full_rank(edge) == [True, False, True]
+
+    def test_matrix_blocks(self):
+        rng = np.random.default_rng(6)
+        j0 = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 4))
+        stack = singular_values(j0[np.array(list(combinations(range(8), 4)))])
+        assert full_rank_mask(stack).tolist() == reference_full_rank(stack)
+
+
+def reference_residual(j0, values, rows, cols) -> float:
+    """||K(f)(x0)|| of one pivot block, one block at a time."""
+    s, n = j0.shape
+    other_rows = [i for i in range(s) if i not in set(rows)]
+    other_cols = [j for j in range(n) if j not in set(cols)]
+    a0 = j0[np.ix_(rows, cols)]
+    acc = float(np.sum(np.abs(values[list(rows)]) ** 2))
+    if other_rows and other_cols:
+        schur = j0[np.ix_(other_rows, other_cols)] - j0[np.ix_(other_rows, cols)] @ np.linalg.solve(
+            a0, j0[np.ix_(rows, other_cols)]
+        )
+        acc += float(np.sum(np.abs(schur) ** 2))
+    return math.sqrt(acc)
+
+
+class TestPivotResiduals:
+    @pytest.mark.parametrize("noise", [0.0, 1e-8])
+    def test_rank_two_jacobian(self, noise):
+        rng = np.random.default_rng(8)
+        s, n, r = 10, 4, 2
+        j0 = (rng.standard_normal((s, r)) + 1j * rng.standard_normal((s, r))) @ (
+            rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+        )
+        j0 = j0 + noise * rng.standard_normal((s, n))
+        values = 1e-6 * (rng.standard_normal(s) + 1j * rng.standard_normal(s))
+        pairs = [(rows, cols) for rows in combinations(range(s), r) for cols in combinations(range(n), r)]
+        rows = np.array([p[0] for p in pairs])
+        cols = np.array([p[1] for p in pairs])
+        other_rows = np.array([[i for i in range(s) if i not in p[0]] for p in pairs])
+        other_cols = np.array([[j for j in range(n) if j not in p[1]] for p in pairs])
+        got = _pivot_residuals(j0, values, rows, cols, other_rows, other_cols)
+        want = [reference_residual(j0, values, *p) for p in pairs]
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+        # The pivot choice over the same candidates, by the same rule.
+        kmin = min(want)
+        band = kmin * (1.0 + 1e-3) + 1e-15 * float(np.linalg.norm(j0, 2))
+        tied = [(p[1], p[0]) for p, k in zip(pairs, want) if k <= band]
+        cols_ref, rows_ref = min(tied)
+        assert _kerneling_pivots(j0, values, r) == (rows_ref, cols_ref)
+
+
+def reference_extraction(f: AnalyticSystem, x0, j0) -> tuple[int, ...]:
+    """Extraction's subset choice, one subset at a time."""
+    n, s = f.dim, f.size
+    values = system_evaluate(f, x0)
+    x0a = np.array([complex(t) for t in x0])
+    best = None
+    combos = list(combinations(range(s), n))
+    for combo, sigma in zip(combos, singular_values(j0[np.array(combos)])):
+        if not rank_from_singular_values(sigma).full_rank:
+            continue
+        candidate = tuple(x0a - np.linalg.solve(j0[list(combo), :], values[list(combo)]))
+        residual = float(np.linalg.norm([ts_evaluate(eq, candidate) for eq in f.equations]))
+        if best is None or (residual, combo) < best:
+            best = (residual, combo)
+    return best[1]
+
+
+class TestExtraction:
+    def test_subset_choice_matches_the_one_subset_loop(self):
+        rng = np.random.default_rng(9)
+        for trial in range(20):
+            n = 2 + trial % 3
+            f = random_system(rng, n=n, s=n + 2 + trial % 3, degree=3)
+            if trial % 2:
+                # A repeated equation: every subset holding both copies is singular.
+                f = f.with_equations(f.equations + f.equations[:1])
+            x0 = tuple(0.1 * rng.standard_normal(n))
+            j0 = jacobian(f).eval_at(x0)
+            _square, chosen, _report = _extract_square_indexed(f, x0, j0)
+            assert chosen == reference_extraction(f, x0, j0)
+
+
+class TestNormCaches:
+    def test_caches_are_bounded(self):
+        assert _monomial_weight.cache_info().maxsize is not None
+        assert _slice_moments.cache_info().maxsize is not None
+
+    def test_moment_matrix_is_read_only(self):
+        f = random_polynomial(np.random.default_rng(10), n=2, degree=3)
+        ball = BallContext((0.0, 0.0), 1.5, 2)
+        first = series_norm_a2(f, ball, APPENDIX_SLICE)
+        moments = _slice_moments(tuple(f.coefficients), 2, 1.5)
+        assert moments.flags.writeable is False
+        with pytest.raises(ValueError):
+            moments[0, 0] = 1.0
+        assert series_norm_a2(f, ball, APPENDIX_SLICE) == first

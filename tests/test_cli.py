@@ -293,6 +293,23 @@ class TestFailedHypothesis:
         assert code == 2
         assert json.loads(out)["failure"].startswith("round cap at k=1: ")
 
+    def test_rank_reports_an_empty_selection(self, capsys, tmp_path):
+        # One equation that is numerically zero: selection retains nothing.
+        path = write_json(
+            tmp_path,
+            "tiny.json",
+            {"vars": ["x", "y"], "equations": [[[1e-20, [0, 0]]]], "point": [0, 0],
+             "radius": 1.0, "order": 2},
+        )
+        code, out, _ = run_cli(capsys, "rank", "--input", path)
+        assert code == 2
+        payload = json.loads(out)
+        assert list(payload) == ["failure"]
+        assert payload["failure"].startswith("TruncationExhaustedError at k=0: ")
+        code, out, _ = run_cli(capsys, "deflate", "--input", path)
+        assert code == 2
+        assert json.loads(out)["failure"] == payload["failure"]
+
     @pytest.mark.parametrize("point", [KSS4_004, KSS4_007], ids=["kss4_004", "kss4_007"])
     def test_solve_near_the_root(self, capsys, tmp_path, point):
         path = kss_fixture(tmp_path, point)
