@@ -21,7 +21,7 @@ error, ``rounding_floor`` = max(rows, cols) * eps * sigma_max, is set to an
 exact zero: below that floor the gaps between singular values are rounding
 noise, and the a-test would read rank from them.  This is the one place the
 package decides that a singular value is numerically zero; pivot searches,
-series inverses and certificates all call it.  The floor is
+Schur pivot blocks and certificates all call it.  The floor is
 ``numpy.linalg.matrix_rank``'s default tolerance, a property of double
 precision rather than a tuning knob.
 """

@@ -15,6 +15,7 @@ deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -397,8 +398,7 @@ class SeriesMatrix:
     """A rows x cols matrix of series sharing one center.
 
     Entries are stored row-major.  Orders may differ between entries (a
-    Jacobian of mixed-order equations); binary operations truncate to the
-    smaller order as usual.
+    Jacobian of mixed-order equations).
     """
 
     rows: int
@@ -427,13 +427,6 @@ class SeriesMatrix:
     def entry(self, i: int, j: int) -> TruncatedSeries:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[TruncatedSeries, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "SeriesMatrix":
-        ents = [self.entry(i, j) for i in row_idx for j in col_idx]
-        return SeriesMatrix(len(row_idx), len(col_idx), tuple(ents))
-
     def eval_at(self, x: Sequence[complex]) -> np.ndarray:
         vals = [ts_evaluate(e, x) for e in self.entries]
         return np.array(vals, dtype=complex).reshape(self.rows, self.cols)
@@ -442,74 +435,9 @@ class SeriesMatrix:
         return min((e.order for e in self.entries), default=0)
 
 
-def _mat_mul(a: SeriesMatrix, b: SeriesMatrix, order: int) -> SeriesMatrix:
-    if a.cols != b.rows:
-        raise StructuralError("matrix product shape mismatch")
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = None
-            for k in range(a.cols):
-                term = ts_mul(ts_truncate(a.entry(i, k), order), ts_truncate(b.entry(k, j), order))
-                acc = term if acc is None else ts_add(acc, term)
-            if acc is None:
-                raise StructuralError("empty inner dimension in matrix product")
-            row.append(acc)
-        out.append(row)
-    return SeriesMatrix.from_rows(out)
-
-
-def _mat_sub(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise StructuralError("matrix difference shape mismatch")
-    ents = tuple(ts_sub(x, y) for x, y in zip(a.entries, b.entries))
-    return SeriesMatrix(a.rows, a.cols, ents)
-
-
-def _mat_inverse(a: SeriesMatrix, order: int) -> SeriesMatrix:
-    """Inverse of a square series matrix: constant-block inverse composed
-    with a truncated Neumann correction (exact at the given order)."""
-    if a.rows != a.cols:
-        raise StructuralError("inverse of a non-square series matrix")
-    r = a.rows
-    center = a.entries[0].center
-    n = len(center)
-    a0 = a.eval_at(center)
-    if singular_values(a0)[-1] == 0.0:
-        raise SingularPivotError("pivot block is numerically singular at the center")
-    a0inv = np.linalg.inv(a0)
-
-    def const_matrix(m: np.ndarray) -> SeriesMatrix:
-        ents = [
-            TruncatedSeries(center, order, {(0,) * n: m[i, j]})
-            for i in range(r)
-            for j in range(r)
-        ]
-        return SeriesMatrix(r, r, tuple(ents))
-
-    ident = const_matrix(np.eye(r))
-    a0inv_m = const_matrix(a0inv)
-    # N = A0^{-1} (A - A0) has no constant term, so N^k starts at degree k
-    # and the Neumann sum (I + N)^{-1} = sum (-N)^k is exact at this order.
-    lifted = SeriesMatrix(r, r, tuple(ts_truncate(e, order) for e in a.entries))
-    n_mat = _mat_sub(_mat_mul(a0inv_m, lifted, order), ident)
-    neg_n = ts_scale_matrix(n_mat, -1.0)
-    acc = ident
-    term = ident
-    for _ in range(order):
-        term = _mat_mul(term, neg_n, order)
-        acc = _mat_add_scaled(acc, term, 1.0)
-    return _mat_mul(acc, a0inv_m, order)
-
-
-def _mat_add_scaled(a: SeriesMatrix, b: SeriesMatrix, c: complex) -> SeriesMatrix:
-    ents = tuple(ts_add(x, ts_scale(y, c)) for x, y in zip(a.entries, b.entries))
-    return SeriesMatrix(a.rows, a.cols, ents)
-
-
-def ts_scale_matrix(a: SeriesMatrix, c: complex) -> SeriesMatrix:
-    return SeriesMatrix(a.rows, a.cols, tuple(ts_scale(e, c) for e in a.entries))
+def _dot(weights, series: Sequence[TruncatedSeries]) -> TruncatedSeries:
+    """The sum of weights[k] * series[k]; a weight is a number or a series."""
+    return functools.reduce(ts_add, (s * w for w, s in zip(weights, series)))
 
 
 def schur_complement(
@@ -520,8 +448,11 @@ def schur_complement(
 ) -> SeriesMatrix:
     """D - C A^{-1} B for the pivot block A = m[row_idx, col_idx].
 
-    The inverse of A is the constant-block inverse composed with a truncated
-    Neumann correction; everything is truncated at ``order``.  Returns the
+    Each column x = A^{-1} b of A^{-1} B is the fixed point of
+    x <- A0^{-1} (b - N x), where A0 is A's constant block and N is A with
+    its constant terms dropped.  N has no constant term, so each pass fixes
+    one more degree, and ``order + 1`` passes from x = b are exact at
+    ``order``.  Everything is truncated at ``order``.  Returns the
     (rows-r) x (cols-r) matrix over the complementary rows and columns, which
     is empty when the pivot exhausts the rows or the columns.
     """
@@ -536,14 +467,35 @@ def schur_complement(
     other_cols = [j for j in range(m.cols) if j not in set(col_idx)]
     if not other_rows or not other_cols:
         return SeriesMatrix(len(other_rows), len(other_cols), ())
-    a = m.submatrix(row_idx, col_idx)
-    b = m.submatrix(row_idx, other_cols)
-    c = m.submatrix(other_rows, col_idx)
-    d = m.submatrix(other_rows, other_cols)
-    a_inv = _mat_inverse(a, order)
-    prod = _mat_mul(_mat_mul(c, a_inv, order), b, order)
-    d_trunc = SeriesMatrix(d.rows, d.cols, tuple(ts_truncate(e, order) for e in d.entries))
-    return _mat_sub(d_trunc, prod)
+
+    def lifted(i: int, j: int) -> TruncatedSeries:
+        return ts_truncate(m.entry(i, j), order)
+
+    a_blk = [[lifted(i, j) for j in col_idx] for i in row_idx]
+    a0 = np.array([[e.constant for e in row] for row in a_blk], dtype=complex)
+    if singular_values(a0)[-1] == 0.0:
+        raise SingularPivotError("pivot block is numerically singular at the center")
+    a0_inv = np.linalg.inv(a0)
+    n_blk = [
+        [
+            TruncatedSeries._of(e.center, order, {a: c for a, c in e.coefficients.items() if any(a)})
+            for e in row
+        ]
+        for row in a_blk
+    ]
+    solved = []
+    for j in other_cols:
+        b = [lifted(i, j) for i in row_idx]
+        x = b
+        for _ in range(order + 1):
+            residual = [bi - _dot(ni, x) for bi, ni in zip(b, n_blk)]
+            x = [_dot(w, residual) for w in a0_inv]
+        solved.append(x)
+    rows = []
+    for i in other_rows:
+        c = [lifted(i, k) for k in col_idx]
+        rows.append([lifted(i, j) - _dot(c, x) for j, x in zip(other_cols, solved)])
+    return SeriesMatrix.from_rows(rows)
 
 
 @dataclass(frozen=True)

@@ -271,7 +271,7 @@ class TestFailedHypothesis:
         assert code == 2
         payload = json.loads(out)
         assert payload["deflated"] is None
-        assert payload["failure"].startswith("TruncationExhaustedError at k=2: ")
+        assert payload["failure"].startswith("hypothesis 1.1 failed at k=1: ")
 
     def test_certify_reports_the_failure(self, capsys, tmp_path):
         path = kss_fixture(tmp_path, KSS5_EXACT_ZEROS)
@@ -279,7 +279,7 @@ class TestFailedHypothesis:
         assert code == 0
         payload = json.loads(out)
         assert payload["alpha_ok"] is False
-        assert any(n.startswith("TruncationExhaustedError at k=2: ") for n in payload["notes"])
+        assert any(n.startswith("hypothesis 1.1 failed at k=1: ") for n in payload["notes"])
 
     def test_solve_stops_at_the_start(self, capsys, tmp_path):
         path = kss_fixture(tmp_path, KSS5_EXACT_ZEROS)

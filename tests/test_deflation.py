@@ -254,6 +254,16 @@ class TestDeflationSequence:
         failing = [s for s in trace.steps if s.gate is not None and not s.gate.passed]
         assert failing and failing[-1].gate.value_norm > failing[-1].gate.eta
 
+    def test_empty_selection_is_a_report(self):
+        # One numerically zero equation: selection retains nothing.
+        f = AnalyticSystem(2, (TruncatedSeries(C2, 2, {(0, 0): 1e-20}),), C2, 1.0)
+        trace = deflation_sequence(f, C2, COMPLEX_EXACT)
+        assert trace.deflated is None and not trace.gate_failed
+        assert trace.failure.startswith("TruncationExhaustedError at k=0: ")
+        report, _trace = singular_alpha_certificate(f, C2, COMPLEX_EXACT)
+        assert report.notes == (trace.failure,)
+        assert newton_iterate(f, C2, 4, COMPLEX_EXACT) == [C2, C2]
+
 
 class TestExtractSquare:
     def test_worked_example_rows(self, gy2_trace):
@@ -370,13 +380,13 @@ class TestKSS:
 
     def test_failed_selection_is_a_report(self):
         # A start whose perturbation has exact zeros: the Jacobian has exact
-        # rank 3, not the root's 1, and the second kerneled system selects
-        # nothing.
+        # rank 3, not the root's 1, and the kerneled system fails its gate
+        # (||F_1(x0)|| = 1.9e-5 against eta = 2.5e-8).
         x0 = (1.0, 1.0, 1.0, 1 + 8.94e-6, 1 + 4.47e-6)
         f = kss(5, x0)
         trace = deflation_sequence(f, x0, COMPLEX_EXACT)
-        assert trace.deflated is None and not trace.gate_failed
-        assert trace.failure.startswith("TruncationExhaustedError at k=2: ")
+        assert trace.deflated is None and trace.gate_failed
+        assert trace.failure.startswith("hypothesis 1.1 failed at k=1: ")
         report, _trace = singular_alpha_certificate(f, x0, COMPLEX_EXACT)
         assert report.notes == (trace.failure,)
         assert newton_iterate(f, x0, 4, COMPLEX_EXACT) == [x0, x0]

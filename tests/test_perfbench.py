@@ -22,3 +22,24 @@ def test_gy2_appendix_one_cycle():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_families_no_failed_operation(tmp_path, monkeypatch):
+    # Four inputs of each family (seed 5), every library call and its check.
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import gen
+    import ops
+
+    import multiroot
+    from multiroot.cli import parse_system
+
+    paths = [path for block in gen.family_inputs(tmp_path, 5, 4) for path in block]
+    instances = ops.load(paths, parse_system)
+    failed = [
+        (inst.point, outcome)
+        for inst in instances
+        for op, fn in ops.inprocess_ops(multiroot).items()
+        if (outcome := ops.run_inprocess(op, fn, inst)).failed
+    ]
+    assert len(instances) == 32
+    assert not failed
