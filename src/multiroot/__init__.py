@@ -63,6 +63,7 @@ from .series import (
     SeriesMatrix,
     TruncatedSeries,
     jacobian,
+    jacobian_at,
     schur_complement,
     system_evaluate,
     ts_add,

@@ -35,7 +35,7 @@ from .bergman import BallContext, gamma_bar_bound, kappa, lambda_bound, nu
 from .deflation import DeflationTrace, deflation_sequence
 from .errors import CertificateUnavailableError, DomainError
 from .rank import singular_values
-from .series import AnalyticSystem, jacobian, system_evaluate
+from .series import AnalyticSystem, jacobian_at, system_evaluate
 
 __all__ = [
     "PointQuantities",
@@ -93,7 +93,7 @@ def point_quantities(
             f"point quantities need a square system; got {f.size} equations in dimension {n}"
         )
     ball = BallContext.of(f)
-    j0 = jacobian(f).eval_at(x)
+    j0 = jacobian_at(f, x)
     svals = singular_values(j0)
     if svals[-1] == 0.0:
         raise CertificateUnavailableError("Jacobian is numerically singular at the point")
@@ -245,7 +245,7 @@ def rank_stability_radius(
     """
     if epsilon < 0:
         raise DomainError("epsilon must be nonnegative")
-    j0 = jacobian(f).eval_at(zeta)
+    j0 = jacobian_at(f, zeta)
     nonzero = [s for s in singular_values(j0) if s > 0.0]
     if not nonzero:
         raise DomainError("Jacobian vanishes at zeta; no nonzero singular value")

@@ -48,7 +48,7 @@ from .deflation import (
 )
 from .errors import HypothesisFailure, MultirootError, ParseError
 from .rank import RankReport, numerical_rank
-from .series import AnalyticSystem, TruncatedSeries, jacobian, ts_recenter
+from .series import AnalyticSystem, TruncatedSeries, jacobian_at, ts_recenter
 
 __all__ = ["main", "parse_system", "build_trace_report"]
 
@@ -256,7 +256,7 @@ def _cmd_rank(args) -> int:
         except HypothesisFailure as exc:
             _emit({"failure": f"{type(exc).__name__} at k=0: {exc}"}, args.pretty)
             return 2
-        report = numerical_rank(jacobian(selected).eval_at(point))
+        report = numerical_rank(jacobian_at(selected, point))
     _emit(_rank_dict(report), args.pretty)
     return 0
 
@@ -316,6 +316,21 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="deflate",
@@ -344,13 +359,15 @@ def _build_parser() -> _Parser:
     p_deflate = sub.add_parser("deflate", help="deflation sequence trace")
     common(p_deflate)
     p_deflate.add_argument(
-        "--max-iters", type=int, default=None, help="kerneling-round safety cap"
+        "--max-iters", type=_int_at_least(0), default=None, help="kerneling-round safety cap"
     )
     p_deflate.set_defaults(func=_cmd_deflate)
 
     p_solve = sub.add_parser("solve", help="singular Newton iteration")
     common(p_solve)
-    p_solve.add_argument("--steps", type=int, default=1, help="number of Newton steps")
+    p_solve.add_argument(
+        "--steps", type=_int_at_least(1), default=1, help="number of Newton steps"
+    )
     p_solve.set_defaults(func=_cmd_solve)
 
     p_certify = sub.add_parser("certify", help="alpha/gamma certificates")

@@ -9,7 +9,11 @@ The pipeline, for a point x0 near a multiple root:
        eta = 2 alpha0 / ((n+1)(n+2) (R + ||f_k||) R^(n-2))
 
    is provisionally kept and its nonzero gradient entries are examined; the
-   first derivative that fails the gate retains its parent.
+   first derivative that fails the gate retains its parent.  The gate is
+   decided bound first: eta(||f||) <= eta(0), so a value above eta(0) fails
+   without a norm, and only the other values are tested against
+   eta(||f||).  At x0 = the center a child's value is a linear coefficient
+   of its parent, so a child that fails the bound is never built.
 2. *Kerneling* splits the Jacobian along an invertible r x r pivot block and
    appends the Schur-complement entries to the pivot equations.
 3. Steps 1-2 repeat until the Jacobian reaches full numerical rank; a square
@@ -30,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bergman import BallContext, norm_a2, series_norm_a2
+from .bergman import BallContext, _check_backend, norm_a2, series_norm_a2
 from .errors import (
     DomainError,
     ExtractionError,
@@ -46,18 +50,20 @@ from .rank import (
     singular_values,
 )
 from .series import (
+    ZERO_RTOL,
     AnalyticSystem,
     TruncatedSeries,
     is_zero_series,
     jacobian,
+    jacobian_at,
     max_coeff,
     recenter_system,
     schur_complement,
     series_close,
     system_evaluate,
+    system_evaluate_many,
     ts_derivative,
     ts_evaluate,
-    ts_evaluate_many,
     ts_truncate,
 )
 
@@ -221,53 +227,94 @@ def _unit(n: int, i: int) -> tuple[int, ...]:
 
 
 def _select_walk(
-    eq: TruncatedSeries,
-    record: SelectionRecord,
-    pending: tuple[TruncatedSeries, SelectionRecord, float],
-    x0: Sequence[complex],
-    ball: BallContext,
-    backend: str,
-    retained: list[tuple[TruncatedSeries, SelectionRecord, float]],
-) -> None:
-    """Gate eq and recurse into its derivatives.  ``pending`` is what a failed
-    gate retains (eq's parent, its record and its max_coeff); retained
-    entries carry their max_coeff too, so de-duplication computes none."""
-    gate = is_small(eq, x0, ball, backend)
-    if not gate.passed:
-        series, _rec, top = pending
+    f: AnalyticSystem, x0: tuple[complex, ...], ball: BallContext, backend: str
+) -> list[tuple[TruncatedSeries, SelectionRecord, float]]:
+    """The retained (series, record, max_coeff) triples of S(f), in the order
+    the depth-first walk over each equation and its derivatives retains them.
+
+    A node that fails its gate retains its parent (the equation itself at the
+    root).  Work whose outcome is already decided is skipped; every decision
+    is the one the full gate would take:
+
+    - A node fails whenever |value| > eta(0): R + ||f|| >= R rounds
+      monotonically, so eta(||f||) <= eta(0).  Only the other nodes pay for a
+      norm, through ``is_small``.
+    - At the center, child i's value is |coefficient of e_i|.  When that
+      exceeds both eta(0) and the zero floor ZERO_RTOL (1 + max_coeff), the
+      child is nonzero and fails: its parent is retained and no derivative is
+      built.  A variable with no positive exponent has an empty derivative
+      and is skipped.
+    - ``retained`` only grows, so a series judged once as a retention
+      candidate stays judged; ``judged`` keeps it alive so its id is not
+      reused.
+    """
+    # The bound may decide every gate, so no norm would check the backend.
+    _check_backend(backend)
+    eta0 = eta_threshold(0.0, ball.dim, ball.radius)
+    at_center = x0 == f.center
+    units = [_unit(f.dim, i) for i in range(f.dim)]
+    retained: list[tuple[TruncatedSeries, SelectionRecord, float]] = []
+    judged: dict[int, TruncatedSeries] = {}
+
+    def retain(series: TruncatedSeries, record: SelectionRecord, top: float) -> None:
+        if id(series) in judged:
+            return
+        judged[id(series)] = series
         if not any(
             series is kept or series_close(series, kept, scale=1.0 + max(top, kept_top))
             for kept, _, kept_top in retained
         ):
-            retained.append(pending)
-        return
-    if eq.order == 0:
-        # A passer with nothing left to differentiate is numerically the
-        # zero function at this truncation order; the branch contributes no
-        # equation (the recursive algorithm runs on an empty set).
-        return
-    parent_scale = max_coeff(eq)
-    for i in range(eq.dim):
-        d = ts_derivative(eq, i)
-        if is_zero_series(d, ref_magnitude=parent_scale):
-            continue
-        drec = SelectionRecord(
-            record.source,
-            tuple(a + b for a, b in zip(record.derivative, _unit(eq.dim, i))),
-        )
-        _select_walk(d, drec, (eq, record, parent_scale), x0, ball, backend, retained)
+            retained.append((series, record, top))
+
+    def walk(eq: TruncatedSeries, record: SelectionRecord, parent: tuple) -> None:
+        if abs(ts_evaluate(eq, x0)) > eta0 or not is_small(eq, x0, ball, backend).passed:
+            retain(*parent)
+            return
+        if eq.order == 0:
+            # A passer with nothing left to differentiate is numerically the
+            # zero function at this truncation order; the branch contributes
+            # no equation (the recursive algorithm runs on an empty set).
+            return
+        top = max_coeff(eq)
+        zero_floor = ZERO_RTOL * (1.0 + top)
+        live = {i for alpha in eq.coefficients for i, a in enumerate(alpha) if a}
+        for i in sorted(live):
+            if at_center:
+                value = abs(eq.coefficients.get(units[i], 0.0))
+                if value > eta0 and value > zero_floor:
+                    retain(eq, record, top)
+                    continue
+            d = ts_derivative(eq, i)
+            if is_zero_series(d, ref_magnitude=top):
+                continue
+            drec = SelectionRecord(
+                record.source, tuple(a + b for a, b in zip(record.derivative, units[i]))
+            )
+            walk(d, drec, (eq, record, top))
+
+    for k, eq in enumerate(f.equations):
+        rec = SelectionRecord(k, (0,) * f.dim)
+        walk(eq, rec, (eq, rec, max_coeff(eq)))
+    return retained
 
 
 def select_detailed(
     f: AnalyticSystem, x0: Sequence[complex], backend: str
 ) -> tuple[AnalyticSystem, tuple[SelectionRecord, ...]]:
     """Selection operator S, recursive smallness-gated derivative replacement,
-    with provenance records for each retained equation."""
+    with provenance records for each retained equation.
+
+    Each equation is walked depth first.  At a node the gate is decided in
+    this order: the value against eta(0), which fails the node on its own;
+    then, only if the value is at or below eta(0), the full gate
+    ``is_small`` with the node's norm.  A passing node's nonzero partial
+    derivatives are walked in variable order; at x0 = the center, a child
+    whose value (a linear coefficient) already fails the bound is decided
+    without building it.  A failing node retains its parent unless an equal
+    series is already retained.  See ``_select_walk``.
+    """
     ball = BallContext.of(f)
-    retained: list[tuple[TruncatedSeries, SelectionRecord, float]] = []
-    for k, eq in enumerate(f.equations):
-        rec = SelectionRecord(k, (0,) * f.dim)
-        _select_walk(eq, rec, (eq, rec, max_coeff(eq)), x0, ball, backend, retained)
+    retained = _select_walk(f, tuple(complex(v) for v in x0), ball, backend)
     if not retained:
         raise TruncationExhaustedError(
             "selection retained no equations: every branch stayed under its "
@@ -430,9 +477,7 @@ def _extract_square_indexed(
         # Each admitted subset's Newton point, and every equation at all of them.
         delta = np.linalg.solve(j0[admitted], values[admitted][..., None])[..., 0]
         points = x0a - delta
-        at_points = np.empty((len(admitted), s), dtype=complex)
-        for e, eq in enumerate(f.equations):
-            at_points[:, e] = ts_evaluate_many(eq, points)
+        at_points = system_evaluate_many(f, points)
         _residual, chosen = min(
             (float(np.linalg.norm(v)), tuple(int(i) for i in combo))
             for v, combo in zip(at_points, admitted)
@@ -457,7 +502,7 @@ def extract_square(f: AnalyticSystem, x0: Sequence[complex]) -> AnalyticSystem:
     ascending equation order.  Beyond the brute-force limit, greedy complete
     pivoting on the transposed Jacobian picks the equations.
     """
-    j0 = jacobian(f).eval_at(x0)
+    j0 = jacobian_at(f, x0)
     overall = numerical_rank(j0)
     if overall.rank < f.dim:
         raise ExtractionError(
@@ -519,7 +564,7 @@ def _run_rounds(
                     f"{gate.value_norm:.6g} > eta = {gate.eta:.6g}"
                 )
                 break
-            j0 = jacobian(current).eval_at(x0)
+            j0 = jacobian_at(current, x0)
             report = numerical_rank(j0)
             if report.rank == 0:
                 failure = (
@@ -616,7 +661,7 @@ def singular_newton_step(
     if trace.deflated is None:
         return x0
     square = trace.deflated
-    j0 = jacobian(square).eval_at(x0)
+    j0 = jacobian_at(square, x0)
     # Extraction certified the rank, so the solve succeeds.
     delta = np.linalg.solve(j0, system_evaluate(square, x0))
     return tuple(complex(a - b) for a, b in zip(x0, delta))

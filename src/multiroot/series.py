@@ -43,8 +43,10 @@ __all__ = [
     "is_zero_series",
     "series_close",
     "jacobian",
+    "jacobian_at",
     "schur_complement",
     "system_evaluate",
+    "system_evaluate_many",
     "recenter_system",
 ]
 
@@ -248,7 +250,11 @@ def ts_evaluate(f: TruncatedSeries, x: Sequence[complex]) -> complex:
         # Every other term is multiplied by an exact zero.
         return complex(f.constant)
     dx = [xi - ci for xi, ci in zip(x, f.center)]
-    maxexp = _max_exponents(f)
+    maxexp = [0] * f.dim
+    for alpha in f.coefficients:
+        for i, a in enumerate(alpha):
+            if a > maxexp[i]:
+                maxexp[i] = a
     powers = []
     for i in range(f.dim):
         row = [1.0 + 0.0j]
@@ -265,60 +271,74 @@ def ts_evaluate(f: TruncatedSeries, x: Sequence[complex]) -> complex:
     return total
 
 
-def _max_exponents(f: TruncatedSeries) -> list[int]:
-    """Per-variable largest exponent stored: the length of each power table."""
-    maxexp = [0] * f.dim
-    for alpha in f.coefficients:
-        for i, a in enumerate(alpha):
-            if a > maxexp[i]:
-                maxexp[i] = a
-    return maxexp
-
-
 def ts_evaluate_many(f: TruncatedSeries, points) -> np.ndarray:
     """Values of f at each row of a k x n array of points.
 
-    Entry j is bit for bit ``ts_evaluate(f, points[j])``: the same power
-    tables, the same per-variable product order within a term (a zero
-    exponent skipped), and the terms summed one after another in stored
-    order.  Complex products are formed from real and imaginary parts as
+    Entry j is bit for bit ``ts_evaluate(f, points[j])``; the one-series case
+    of ``_evaluate_padded``.
+    """
+    return _evaluate_padded((f,), points)[0]
+
+
+def system_evaluate_many(f: "AnalyticSystem", points) -> np.ndarray:
+    """The k x s matrix whose row j is bit for bit
+    ``system_evaluate(f, points[j])``."""
+    return _evaluate_padded(f.equations, points).T.copy()
+
+
+def _evaluate_padded(fs: Sequence[TruncatedSeries], points) -> np.ndarray:
+    """Values of each series of fs at each row of points, shape (len(fs), k).
+
+    Every series' terms go into one array, padded at the end with zero terms,
+    so numpy is set up once for all of them.  Entry [s, j] is bit for bit
+    ``ts_evaluate(fs[s], points[j])``: the same power tables, the same
+    per-variable product order within a term (a zero exponent skipped), and
+    the terms summed one after another in stored order; a padded term adds an
+    exact zero.  Complex products are formed from real and imaginary parts as
     Python forms them; numpy's complex multiply may fuse them into FMAs,
     which moves the last bit.
     """
+    n = fs[0].dim
     points = np.asarray(points, dtype=complex)
-    if points.ndim != 2 or points.shape[1] != f.dim:
-        raise StructuralError(f"points have shape {points.shape}, expected (k, {f.dim})")
+    if points.ndim != 2 or points.shape[1] != n:
+        raise StructuralError(f"points have shape {points.shape}, expected (k, {n})")
     k = points.shape[0]
-    out = np.zeros(k, dtype=complex)
-    if not f.coefficients:
+    width = max(len(f.coefficients) for f in fs)
+    out = np.zeros((len(fs), k), dtype=complex)
+    if not width:
         return out
-    center = np.array(f.center, dtype=complex)
-    dxr = points.real - center.real
-    dxi = points.imag - center.imag
-    exps = np.array(list(f.coefficients), dtype=int)
-    coeffs = np.array(list(f.coefficients.values()), dtype=complex)
-    # Each term's running product over the points, one row per term.
-    tr = np.repeat(coeffs.real[:, None], k, axis=1)
-    ti = np.repeat(coeffs.imag[:, None], k, axis=1)
-    for i, top in enumerate(_max_exponents(f)):
+    exps = np.zeros((len(fs), width, n), dtype=int)
+    coeffs = np.zeros((len(fs), width), dtype=complex)
+    for s, f in enumerate(fs):
+        if f.coefficients:
+            exps[s, : len(f.coefficients)] = list(f.coefficients)
+            coeffs[s, : len(f.coefficients)] = list(f.coefficients.values())
+    centers = np.array([f.center for f in fs], dtype=complex)
+    dxr = points.real[None, :, :] - centers.real[:, None, :]
+    dxi = points.imag[None, :, :] - centers.imag[:, None, :]
+    # Each term's running product over the points: [series, term, point].
+    tr = np.repeat(coeffs.real[:, :, None], k, axis=2)
+    ti = np.repeat(coeffs.imag[:, :, None], k, axis=2)
+    for i, top in enumerate(exps.max(axis=(0, 1)).tolist()):
         if not top:
             continue
         # powers[a] = dx_i^a as ts_evaluate builds it, from 1 + 0j.
-        pr = np.empty((top + 1, k))
-        pi = np.empty((top + 1, k))
+        pr = np.empty((top + 1, len(fs), k))
+        pi = np.empty((top + 1, len(fs), k))
         pr[0], pi[0] = 1.0, 0.0
         for a in range(1, top + 1):
-            pr[a] = pr[a - 1] * dxr[:, i] - pi[a - 1] * dxi[:, i]
-            pi[a] = pr[a - 1] * dxi[:, i] + pi[a - 1] * dxr[:, i]
-        rows = np.flatnonzero(exps[:, i])
-        qr, qi = pr[exps[rows, i]], pi[exps[rows, i]]
-        ar, ai = tr[rows], ti[rows]
-        tr[rows] = ar * qr - ai * qi
-        ti[rows] = ar * qi + ai * qr
+            pr[a] = pr[a - 1] * dxr[:, :, i] - pi[a - 1] * dxi[:, :, i]
+            pi[a] = pr[a - 1] * dxi[:, :, i] + pi[a - 1] * dxr[:, :, i]
+        ss, terms = np.nonzero(exps[:, :, i])
+        e = exps[ss, terms, i]
+        qr, qi = pr[e, ss], pi[e, ss]
+        ar, ai = tr[ss, terms], ti[ss, terms]
+        tr[ss, terms] = ar * qr - ai * qi
+        ti[ss, terms] = ar * qi + ai * qr
     # The running sum from 0 + 0j; accumulate starts from the first term,
     # which differs from it only in the sign of a zero, and + 0.0 clears that.
-    out.real = np.add.accumulate(tr, axis=0)[-1] + 0.0
-    out.imag = np.add.accumulate(ti, axis=0)[-1] + 0.0
+    out.real = np.add.accumulate(tr, axis=1)[:, -1] + 0.0
+    out.imag = np.add.accumulate(ti, axis=1)[:, -1] + 0.0
     return out
 
 
@@ -331,6 +351,8 @@ def ts_recenter(
     coefficients up to ``new_order`` are produced and ``new_order <= f.order``
     is required.
     """
+    if new_order < 0:
+        raise StructuralError("series order must be nonnegative")
     if new_order > f.order:
         raise StructuralError(
             f"new_order {new_order} exceeds stored order {f.order}"
@@ -339,22 +361,26 @@ def ts_recenter(
     if len(new_center) != f.dim:
         raise StructuralError("new center has wrong dimension")
     delta = [nc - oc for nc, oc in zip(new_center, f.center)]
+    # rows[i, a][b] = comb(a, b) delta_i^(a-b), built once per call.
+    rows: dict[tuple[int, int], list[complex]] = {}
     coeffs: dict[Exponent, complex] = {}
     for alpha, c in f.coefficients.items():
         # (u + delta)^alpha expanded variable by variable.
         per_var: list[list[complex]] = []
         for i, a in enumerate(alpha):
-            row = [math.comb(a, b) * delta[i] ** (a - b) for b in range(a + 1)]
+            row = rows.get((i, a))
+            if row is None:
+                row = rows[i, a] = [math.comb(a, b) * delta[i] ** (a - b) for b in range(a + 1)]
             per_var.append(row)
         for beta in itertools.product(*(range(a + 1) for a in alpha)):
             if sum(beta) > new_order:
                 continue
             w = c
-            for i, b in enumerate(beta):
-                w *= per_var[i][b]
+            for row, b in zip(per_var, beta):
+                w *= row[b]
             if w != 0:
                 coeffs[beta] = coeffs.get(beta, 0.0) + w
-    return TruncatedSeries(new_center, new_order, coeffs)
+    return TruncatedSeries._of(new_center, int(new_order), coeffs)
 
 
 def max_coeff(f: TruncatedSeries) -> float:
@@ -570,3 +596,19 @@ def jacobian(f: AnalyticSystem) -> SeriesMatrix:
     """The s x n matrix of partial-derivative series."""
     rows = [[ts_derivative(eq, j) for j in range(f.dim)] for eq in f.equations]
     return SeriesMatrix.from_rows(rows)
+
+
+def jacobian_at(f: AnalyticSystem, x: Sequence[complex]) -> np.ndarray:
+    """The s x n Jacobian of f at x, ``jacobian(f).eval_at(x)``.
+
+    At f's center that is the matrix of linear coefficients: the constant
+    term of d eq / d x_j is 1 times eq's coefficient of e_j, so for finite
+    coefficients the two agree bit for bit without building any derivative.
+    """
+    x = _as_point(x)
+    if x != f.center:
+        return jacobian(f).eval_at(x)
+    units = [tuple(int(k == j) for k in range(f.dim)) for j in range(f.dim)]
+    return np.array(
+        [[eq.coefficients.get(u, 0.0) for u in units] for eq in f.equations], dtype=complex
+    )

@@ -7,7 +7,7 @@ tells +0.0 from -0.0.
 
 import importlib.util
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -25,7 +25,9 @@ from multiroot.series import (
     AnalyticSystem,
     TruncatedSeries,
     jacobian,
+    jacobian_at,
     system_evaluate,
+    system_evaluate_many,
     ts_derivative,
     ts_evaluate,
     ts_evaluate_many,
@@ -258,3 +260,94 @@ class TestNormCaches:
         with pytest.raises(ValueError):
             moments[0, 0] = 1.0
         assert series_norm_a2(f, ball, APPENDIX_SLICE) == first
+
+
+def family_systems():
+    """Each benchmark family as one system, from ``FAMILY_EQUATIONS``."""
+    groups: dict[str, list[TruncatedSeries]] = {}
+    for name, eq in FAMILY_EQUATIONS:
+        groups.setdefault(name.split("[")[0], []).append(eq)
+    return [
+        AnalyticSystem(eqs[0].dim, tuple(eqs), eqs[0].center, 1.0) for eqs in groups.values()
+    ]
+
+
+class TestEvaluatePadded:
+    def test_mixed_term_counts_a_zero_equation_and_the_center(self):
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 4):
+            center = tuple(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            eqs = [random_polynomial(rng, n=n, degree=d, center=center) for d in (1, 3, 4)]
+            sparse = dict(list(eqs[2].coefficients.items())[::3])
+            eqs += [
+                TruncatedSeries(center, 4, sparse),
+                TruncatedSeries(center, 2, {}),
+                TruncatedSeries(center, 0, {(0,) * n: 2.5 - 1j}),
+            ]
+            f = AnalyticSystem(n, tuple(eqs), center, 10.0)
+            points = seeded_points(eqs[0], rng)  # the center first
+            want = [[ts_evaluate(eq, x) for eq in f.equations] for x in points]
+            got = system_evaluate_many(f, points)
+            assert got.shape == (len(points), len(eqs))
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("f", family_systems(), ids=lambda f: f"n{f.dim}")
+    def test_family_systems(self, f):
+        points = seeded_points(f.equations[0], np.random.default_rng(f.dim))
+        want = [system_evaluate(f, x) for x in points]
+        assert np.array_equal(bits(system_evaluate_many(f, points)), bits(want))
+
+
+class TestJacobianAt:
+    @pytest.mark.parametrize("f", family_systems(), ids=lambda f: f"n{f.dim}")
+    def test_family_systems_on_and_off_center(self, f):
+        points = seeded_points(f.equations[0], np.random.default_rng(f.dim))
+        for x in points:
+            want = jacobian(f).eval_at(x)
+            assert np.array_equal(bits(jacobian_at(f, x)), bits(want))
+
+    def test_random_systems_off_center(self):
+        rng = np.random.default_rng(13)
+        for n in (2, 3, 4):
+            f = random_system(rng, n=n, s=n + 1, degree=3)
+            for x in seeded_points(f.equations[0], rng)[1:]:
+                want = jacobian(f).eval_at(x)
+                assert np.array_equal(bits(jacobian_at(f, x)), bits(want))
+
+
+def reference_recenter(f: TruncatedSeries, new_center, new_order: int) -> TruncatedSeries:
+    """``ts_recenter`` with every row comb(a, b) delta^(a-b) built per term."""
+    delta = [complex(nc) - oc for nc, oc in zip(new_center, f.center)]
+    coeffs = {}
+    for alpha, c in f.coefficients.items():
+        per_var = [
+            [math.comb(a, b) * delta[i] ** (a - b) for b in range(a + 1)]
+            for i, a in enumerate(alpha)
+        ]
+        for beta in product(*(range(a + 1) for a in alpha)):
+            if sum(beta) > new_order:
+                continue
+            w = c
+            for i, b in enumerate(beta):
+                w *= per_var[i][b]
+            if w != 0:
+                coeffs[beta] = coeffs.get(beta, 0.0) + w
+    return TruncatedSeries(new_center, new_order, coeffs)
+
+
+class TestRecenter:
+    def test_against_the_per_term_rows(self):
+        rng = np.random.default_rng(14)
+        cases = [eq for _, eq in FAMILY_EQUATIONS]
+        cases += [random_polynomial(rng, n=n, degree=4) for n in (2, 3, 4)]
+        for f in cases:
+            for new_order in range(f.order + 1):
+                step = 10.0 ** rng.uniform(-6, 0) * rng.standard_normal(f.dim)
+                new_center = tuple(np.array(f.center) + step)
+                got = ts_recenter(f, new_center, new_order)
+                want = reference_recenter(f, new_center, new_order)
+                assert (got.center, got.order) == (want.center, want.order)
+                assert list(got.coefficients) == list(want.coefficients)
+                assert np.array_equal(
+                    bits(list(got.coefficients.values())), bits(list(want.coefficients.values()))
+                )

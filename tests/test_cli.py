@@ -356,3 +356,24 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["rank"])  # missing --input
         assert exc.value.code == 1
+
+
+class TestCountFlags:
+    """Counts out of range are usage errors (exit 1), caught by the parser."""
+
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    def test_steps_below_one(self, capsys, steps):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--input", GY2, "--steps", steps])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --steps: must be >= 1, got {int(steps)}" in captured.err
+
+    def test_negative_max_iters(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["deflate", "--input", GY2, "--max-iters", "-1"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --max-iters: must be >= 0, got -1" in captured.err

@@ -1,0 +1,278 @@
+"""Selection against the plain recursive walk it replaces.
+
+``reference_select`` gates every node with ``is_small`` (a norm each) and
+builds every partial derivative.  ``select_detailed`` skips the work whose
+outcome is already decided, and must retain the same series, bit for bit,
+with the same records in the same order.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from multiroot import deflation
+from multiroot.bergman import APPENDIX_SLICE, COMPLEX_EXACT, BallContext
+from multiroot.cli import build_trace_report, parse_system
+from multiroot.deflation import (
+    SelectionRecord,
+    _kerneling_pivots,
+    deflation_sequence,
+    eta_threshold,
+    is_small,
+    kernel_op,
+    select_detailed,
+)
+from multiroot.errors import TruncationExhaustedError
+from multiroot.rank import numerical_rank
+from multiroot.series import (
+    AnalyticSystem,
+    TruncatedSeries,
+    is_zero_series,
+    jacobian_at,
+    max_coeff,
+    series_close,
+    system_evaluate,
+    ts_derivative,
+    ts_evaluate,
+)
+
+from conftest import FIXTURES
+from test_batched import _load_gen
+
+GEN = _load_gen()
+
+
+def _unit(n, i):
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+def reference_walk(eq, record, pending, x0, ball, backend, retained):
+    """Gate eq and recurse into its derivatives; a failed gate retains
+    ``pending`` (eq's parent, its record and its max_coeff)."""
+    gate = is_small(eq, x0, ball, backend)
+    if not gate.passed:
+        series, _rec, top = pending
+        if not any(
+            series is kept or series_close(series, kept, scale=1.0 + max(top, kept_top))
+            for kept, _, kept_top in retained
+        ):
+            retained.append(pending)
+        return
+    if eq.order == 0:
+        return
+    parent_scale = max_coeff(eq)
+    for i in range(eq.dim):
+        d = ts_derivative(eq, i)
+        if is_zero_series(d, ref_magnitude=parent_scale):
+            continue
+        drec = SelectionRecord(
+            record.source,
+            tuple(a + b for a, b in zip(record.derivative, _unit(eq.dim, i))),
+        )
+        reference_walk(d, drec, (eq, record, parent_scale), x0, ball, backend, retained)
+
+
+def reference_select(f, x0, backend):
+    ball = BallContext.of(f)
+    retained = []
+    for k, eq in enumerate(f.equations):
+        rec = SelectionRecord(k, (0,) * f.dim)
+        reference_walk(eq, rec, (eq, rec, max_coeff(eq)), x0, ball, backend, retained)
+    if not retained:
+        raise TruncationExhaustedError(
+            "selection retained no equations: every branch stayed under its "
+            "gate to the end of the stored truncation order"
+        )
+    system = f.with_equations(series for series, _, _ in retained)
+    return system, tuple(rec for _, rec, _ in retained)
+
+
+def raw(series):
+    """A series as comparable raw bits: center, order, and every stored
+    exponent with its coefficient's bits, in stored order."""
+    coeffs = np.array(list(series.coefficients.values()), dtype=complex)
+    return (
+        series.center,
+        series.order,
+        tuple(series.coefficients),
+        coeffs.view(np.uint64).tobytes(),
+    )
+
+
+def outcome(select, f, x0, backend):
+    try:
+        system, records = select(f, x0, backend)
+    except TruncationExhaustedError as exc:
+        return str(exc)
+    return [raw(eq) for eq in system.equations], records
+
+
+def assert_same_selection(f, x0, backend):
+    got = outcome(select_detailed, f, x0, backend)
+    assert got == outcome(reference_select, f, x0, backend)
+    return got
+
+
+@pytest.fixture(scope="module")
+def family_systems(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("families")
+    paths = [p for block in GEN.family_inputs(tmp, 5, 4) for p in block]
+    return [parse_system(str(p)) for p in paths]
+
+
+def first_kerneled(f, x0, backend):
+    """K(S(f)) at x0, or None when S(f) already has full rank."""
+    selected, _ = select_detailed(f, x0, backend)
+    j0 = jacobian_at(selected, x0)
+    report = numerical_rank(j0)
+    if not 0 < report.rank < f.dim:
+        return None
+    pivots = _kerneling_pivots(j0, system_evaluate(selected, x0), report.rank)
+    return kernel_op(selected, x0, report, pivots)
+
+
+class TestAgainstReference:
+    def test_family_systems_and_their_first_kerneling(self, family_systems):
+        kerneled = 0
+        for f, x0, opts in family_systems:
+            assert_same_selection(f, x0, opts["backend"])
+            k = first_kerneled(f, x0, opts["backend"])
+            if k is not None:
+                kerneled += 1
+                assert_same_selection(k, x0, opts["backend"])
+        assert len(family_systems) == 32 and kerneled >= 16
+
+    @pytest.mark.parametrize("name", ["gy2.json", "gy2_exact.json"])
+    def test_gy2_fixtures(self, name):
+        f, x0, opts = parse_system(str(FIXTURES / name))
+        assert_same_selection(f, x0, opts["backend"])
+        k = first_kerneled(f, x0, opts["backend"])
+        if k is not None:
+            assert_same_selection(k, x0, opts["backend"])
+
+    def test_off_center_points(self, family_systems):
+        # Away from the center every child is built; the bound-first gate
+        # still decides the nodes whose value exceeds eta(0).
+        rng = np.random.default_rng(17)
+        passed = 0
+        for f, x0, opts in family_systems:
+            for scale in (1e-7, 1e-4, 1e-2):
+                step = scale * (rng.standard_normal(f.dim) + 1j * rng.standard_normal(f.dim))
+                point = tuple(np.array(x0) + step)
+                got = assert_same_selection(f, point, opts["backend"])
+                passed += not isinstance(got, str)
+        assert passed >= 64
+
+    def test_repeated_equation_is_retained_once(self, family_systems):
+        f, x0, opts = family_systems[0]
+        doubled = f.with_equations(f.equations + f.equations)
+        _eqs, records = assert_same_selection(doubled, x0, opts["backend"])
+        assert all(rec.source < f.size for rec in records)
+
+
+def random_edge_system(rng, backend):
+    """A system whose coefficients straddle the walk's shortcuts: values
+    near eta(0), under and over the zero floor, and equations scaled so far
+    up that the zero floor lies above eta(0)."""
+    n = int(rng.integers(2, 5))
+    order = int(rng.integers(1, 5))
+    radius = float(rng.choice([0.5, 1.0, 2.0]))
+    center = tuple(rng.standard_normal(n) * 0.1)
+    eta0 = eta_threshold(0.0, n, radius)
+    equations = []
+    for _ in range(int(rng.integers(1, 4))):
+        scale = 10.0 ** rng.choice([0.0, 13.0])
+        coeffs = {}
+        for _ in range(int(rng.integers(1, 8))):
+            alpha = [0] * n
+            for _ in range(int(rng.integers(0, order + 1))):
+                alpha[int(rng.integers(n))] += 1
+            kind = rng.integers(4)
+            if kind == 0:
+                c = eta0 * rng.uniform(0.3, 1.5)
+            elif kind == 1:
+                c = 1e-12 * scale * rng.uniform(0.2, 5.0)
+            else:
+                c = scale * 10.0 ** rng.uniform(-16, 0)
+            coeffs[tuple(alpha)] = c * np.exp(2j * np.pi * rng.random())
+        equations.append(TruncatedSeries(center, order, coeffs))
+    return AnalyticSystem(n, tuple(equations), center, radius)
+
+
+@pytest.mark.parametrize("backend", [COMPLEX_EXACT, APPENDIX_SLICE])
+def test_edge_systems(backend):
+    rng = np.random.default_rng(29)
+    retained = 0
+    for _ in range(300):
+        f = random_edge_system(rng, backend)
+        got = assert_same_selection(f, f.center, backend)
+        retained += not isinstance(got, str)
+    assert retained >= 100
+
+
+@pytest.mark.parametrize("backend", [COMPLEX_EXACT, APPENDIX_SLICE])
+def test_child_under_the_zero_floor(backend):
+    # d/dy of 1e13 x^2 + 5 y is 5: its value exceeds eta(0), but the series
+    # is numerically zero beside its parent's 1e13, so the walk skips it.
+    c = (0.0, 0.0)
+    f = AnalyticSystem(
+        2,
+        (
+            TruncatedSeries(c, 3, {(2, 0): 1e13, (0, 1): 5.0}),
+            TruncatedSeries(c, 3, {(1, 0): 1.0, (0, 1): 1.0}),
+        ),
+        c,
+        1.0,
+    )
+    _eqs, records = assert_same_selection(f, c, backend)
+    assert [r.derivative for r in records] == [(1, 0), (0, 0)]
+
+
+def test_trace_reports_match_the_reference_walk(monkeypatch, family_systems):
+    inputs = [parse_system(str(FIXTURES / n)) for n in ("gy2.json", "gy2_exact.json")]
+    inputs += family_systems[:12]
+
+    def reports():
+        return [
+            json.dumps(build_trace_report(deflation_sequence(f, x0, opts["backend"])), sort_keys=True)
+            for f, x0, opts in inputs
+        ]
+
+    got = reports()
+    monkeypatch.setattr(deflation, "select_detailed", reference_select)
+    want = reports()
+    assert got == want
+
+
+def test_eta_at_zero_bounds_every_eta():
+    rng = np.random.default_rng(23)
+    norms = np.concatenate([[0.0, 5e-324, 1e-300, 1e300, math.inf], 10.0 ** rng.uniform(-20, 20, 400)])
+    for n in range(2, 8):
+        for radius in np.concatenate([[1.0, 1e-3, 1e3], 10.0 ** rng.uniform(-3, 3, 20)]):
+            eta0 = eta_threshold(0.0, n, float(radius))
+            assert all(eta_threshold(float(v), n, float(radius)) <= eta0 for v in norms)
+
+
+def test_no_norm_for_a_value_above_eta0(monkeypatch, family_systems):
+    """A walk node whose value exceeds eta(0) fails on the bound alone; the
+    norm is computed only for the others."""
+    seen = []
+    norm = deflation.series_norm_a2
+
+    def recording(f, ball, backend):
+        seen.append(f)
+        return norm(f, ball, backend)
+
+    monkeypatch.setattr(deflation, "series_norm_a2", recording)
+    for f, x0, opts in family_systems[:16]:
+        ball = BallContext.of(f)
+        eta0 = eta_threshold(0.0, ball.dim, ball.radius)
+        seen.clear()
+        try:
+            select_detailed(f, x0, opts["backend"])
+        except TruncationExhaustedError:
+            pass
+        assert seen
+        assert all(abs(ts_evaluate(s, x0)) <= eta0 for s in seen)
