@@ -9,16 +9,19 @@ The pipeline, for a point x0 near a multiple root:
        eta = 2 alpha0 / ((n+1)(n+2) (R + ||f_k||) R^(n-2))
 
    is provisionally kept and its nonzero gradient entries are examined; the
-   first derivative that fails the gate retains its parent.  The gate is
+   first derivative that fails the gate retains its parent, once.  The gate is
    decided bound first: eta(||f||) <= eta(0), so a value above eta(0) fails
    without a norm, and only the other values are tested against
    eta(||f||).  At x0 = the center a child's value is a linear coefficient
    of its parent, so a child that fails the bound is never built.
-2. *Kerneling* splits the Jacobian along an invertible r x r pivot block and
-   appends the Schur-complement entries to the pivot equations.
+2. *Kerneling* splits the Jacobian along an invertible r x r pivot block,
+   r the numerical rank at x0, and appends the Schur-complement entries to
+   the pivot equations.  ``kernel_op`` reads only the system and the block's
+   indices; the rank and x0 enter through the pivot choice.
 3. Steps 1-2 repeat until the Jacobian reaches full numerical rank; a square
-   system of full rank is then extracted.  The number of kerneling rounds is
-   the *thickness* of the sequence.
+   system of full rank is then extracted, by one search over the n-subsets
+   of equations (greedy pivoting beyond a size cap).  The number of
+   kerneling rounds is the *thickness* of the sequence.
 
 Classical Newton on the extracted square system is the singular Newton
 operator of the original system.  Every routine here is a pure function over
@@ -233,8 +236,10 @@ def _select_walk(
     the depth-first walk over each equation and its derivatives retains them.
 
     A node that fails its gate retains its parent (the equation itself at the
-    root).  Work whose outcome is already decided is skipped; every decision
-    is the one the full gate would take:
+    root): ``walk`` returns whether the node failed, and a parent retains
+    itself at its first failing child, before its later children are walked.
+    Work whose outcome is already decided is skipped; every decision is the
+    one the full gate would take:
 
     - A node fails whenever |value| > eta(0): R + ||f|| >= R rounds
       monotonically, so eta(||f||) <= eta(0).  Only the other nodes pay for a
@@ -244,9 +249,6 @@ def _select_walk(
       child is nonzero and fails: its parent is retained and no derivative is
       built.  A variable with no positive exponent has an empty derivative
       and is skipped.
-    - ``retained`` only grows, so a series judged once as a retention
-      candidate stays judged; ``judged`` keeps it alive so its id is not
-      reused.
     """
     # The bound may decide every gate, so no norm would check the backend.
     _check_backend(backend)
@@ -254,47 +256,47 @@ def _select_walk(
     at_center = x0 == f.center
     units = [_unit(f.dim, i) for i in range(f.dim)]
     retained: list[tuple[TruncatedSeries, SelectionRecord, float]] = []
-    judged: dict[int, TruncatedSeries] = {}
 
     def retain(series: TruncatedSeries, record: SelectionRecord, top: float) -> None:
-        if id(series) in judged:
-            return
-        judged[id(series)] = series
         if not any(
             series is kept or series_close(series, kept, scale=1.0 + max(top, kept_top))
             for kept, _, kept_top in retained
         ):
             retained.append((series, record, top))
 
-    def walk(eq: TruncatedSeries, record: SelectionRecord, parent: tuple) -> None:
+    def walk(eq: TruncatedSeries, record: SelectionRecord) -> bool:
         if abs(ts_evaluate(eq, x0)) > eta0 or not is_small(eq, x0, ball, backend).passed:
-            retain(*parent)
-            return
+            return True
         if eq.order == 0:
             # A passer with nothing left to differentiate is numerically the
             # zero function at this truncation order; the branch contributes
             # no equation (the recursive algorithm runs on an empty set).
-            return
+            return False
         top = max_coeff(eq)
         zero_floor = ZERO_RTOL * (1.0 + top)
         live = {i for alpha in eq.coefficients for i, a in enumerate(alpha) if a}
+        retained_self = False
         for i in sorted(live):
-            if at_center:
-                value = abs(eq.coefficients.get(units[i], 0.0))
-                if value > eta0 and value > zero_floor:
-                    retain(eq, record, top)
+            value = abs(eq.coefficients.get(units[i], 0.0))
+            if at_center and value > eta0 and value > zero_floor:
+                failed = True
+            else:
+                d = ts_derivative(eq, i)
+                if is_zero_series(d, ref_magnitude=top):
                     continue
-            d = ts_derivative(eq, i)
-            if is_zero_series(d, ref_magnitude=top):
-                continue
-            drec = SelectionRecord(
-                record.source, tuple(a + b for a, b in zip(record.derivative, units[i]))
-            )
-            walk(d, drec, (eq, record, top))
+                drec = SelectionRecord(
+                    record.source, tuple(a + b for a, b in zip(record.derivative, units[i]))
+                )
+                failed = walk(d, drec)
+            if failed and not retained_self:
+                retain(eq, record, top)
+                retained_self = True
+        return False
 
     for k, eq in enumerate(f.equations):
         rec = SelectionRecord(k, (0,) * f.dim)
-        walk(eq, rec, (eq, rec, max_coeff(eq)))
+        if walk(eq, rec):
+            retain(eq, rec, max_coeff(eq))
     return retained
 
 
@@ -428,30 +430,22 @@ def _kerneling_pivots(
 
 
 def kernel_op(
-    f: AnalyticSystem,
-    x0: Sequence[complex],
-    rank_report: RankReport,
-    pivots: tuple[Sequence[int], Sequence[int]],
-    order: int | None = None,
+    f: AnalyticSystem, pivots: tuple[Sequence[int], Sequence[int]]
 ) -> AnalyticSystem:
     """Kerneling operator K: pivot equations plus vec(Schur(Df)).
 
-    The output keeps the r pivot-row equations first, followed by the
-    (s-r)(n-r) Schur-complement entries row-major, all truncated to
-    ``order``.  The default order is the Jacobian's (one below the system's),
-    matching the truncated-deflation schedule.
+    ``pivots`` holds the row and column indices of an r x r pivot block of
+    the Jacobian, where r is the rank being kerneled and r < n.  The output
+    keeps the r pivot-row equations first, followed by the (s-r)(n-r)
+    Schur-complement entries row-major, all truncated at the Jacobian's
+    order (one below the system's), matching the truncated-deflation
+    schedule.
     """
-    r = rank_report.rank
-    if r < 1:
-        raise DomainError("kerneling requires rank >= 1")
-    if r >= f.dim:
-        raise DomainError("kerneling requires rank < n (nothing to eliminate)")
     row_idx, col_idx = pivots
-    if len(row_idx) != r or len(col_idx) != r:
-        raise DomainError("pivot index sets must have length equal to the rank")
+    if len(row_idx) >= f.dim:
+        raise DomainError("kerneling requires rank < n (nothing to eliminate)")
     jac = jacobian(f)
-    if order is None:
-        order = jac.min_order()
+    order = jac.min_order()
     schur = schur_complement(jac, row_idx, col_idx, order)
     equations = [ts_truncate(f.equations[i], order) for i in row_idx]
     equations.extend(schur.entries)
@@ -464,9 +458,7 @@ def _extract_square_indexed(
     """Extraction given the Jacobian j0 of f at x0, already read as rank n."""
     n = f.dim
     s = f.size
-    if s == n:
-        chosen = tuple(range(n))
-    elif math.comb(s, n) <= _EXTRACT_BRUTE_LIMIT:
+    if math.comb(s, n) <= _EXTRACT_BRUTE_LIMIT:
         values = system_evaluate(f, x0)
         x0a = np.array([complex(t) for t in x0])
         combos = np.array(list(combinations(range(s), n)))
@@ -568,8 +560,8 @@ def _run_rounds(
             report = numerical_rank(j0)
             if report.rank == 0:
                 failure = (
-                    f"numerical rank 0 at k={rounds}: no selected equation has "
-                    "a nonzero gradient at x0"
+                    f"numerical rank 0 at k={rounds}: the rank test reads the "
+                    f"Jacobian at x0 as zero (sigma_max = {report.sigma[0]:.6g})"
                 )
                 break
             if report.rank == current.dim:
@@ -597,7 +589,7 @@ def _run_rounds(
                     "kerneling rounds"
                 )
                 break
-            current, kind = kernel_op(current, x0, report, pivots), "kerneling"
+            current, kind = kernel_op(current, pivots), "kerneling"
     except HypothesisFailure as exc:
         failure = f"{type(exc).__name__} at k={rounds}: {exc}"
     return trace(failure=failure)

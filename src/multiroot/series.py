@@ -36,7 +36,6 @@ __all__ = [
     "ts_mul",
     "ts_derivative",
     "ts_evaluate",
-    "ts_evaluate_many",
     "ts_recenter",
     "ts_truncate",
     "max_coeff",
@@ -140,10 +139,6 @@ class TruncatedSeries:
     def constant(self) -> complex:
         return self.coefficients.get((0,) * self.dim, 0.0)
 
-    def degree(self) -> int:
-        """Largest total degree with a stored (nonzero) coefficient."""
-        return max((sum(a) for a in self.coefficients), default=0)
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return ts_add(self, other)
 
@@ -160,9 +155,6 @@ class TruncatedSeries:
 
     def __neg__(self) -> "TruncatedSeries":
         return ts_scale(self, -1.0)
-
-    def __call__(self, x: Sequence[complex]) -> complex:
-        return ts_evaluate(self, x)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         terms = ", ".join(f"{a}:{c:.6g}" for a, c in itertools.islice(self.items(), 6))
@@ -243,60 +235,41 @@ def ts_derivative(f: TruncatedSeries, var: int) -> TruncatedSeries:
 
 def ts_evaluate(f: TruncatedSeries, x: Sequence[complex]) -> complex:
     """Value of the truncated polynomial at the point x."""
-    x = _as_point(x)
-    if len(x) != f.dim:
-        raise StructuralError(f"point has dimension {len(x)}, expected {f.dim}")
-    if x == f.center:
-        # Every other term is multiplied by an exact zero.
-        return complex(f.constant)
-    dx = [xi - ci for xi, ci in zip(x, f.center)]
-    maxexp = [0] * f.dim
-    for alpha in f.coefficients:
-        for i, a in enumerate(alpha):
-            if a > maxexp[i]:
-                maxexp[i] = a
-    powers = []
-    for i in range(f.dim):
-        row = [1.0 + 0.0j]
-        for _ in range(maxexp[i]):
-            row.append(row[-1] * dx[i])
-        powers.append(row)
-    total = 0.0 + 0.0j
-    for alpha, c in f.coefficients.items():
-        term = c
-        for i, a in enumerate(alpha):
-            if a:
-                term *= powers[i][a]
-        total += term
-    return total
+    return _values_at((f,), x)[0]
 
 
-def ts_evaluate_many(f: TruncatedSeries, points) -> np.ndarray:
-    """Values of f at each row of a k x n array of points.
+def _values_at(fs: Sequence[TruncatedSeries], x: Sequence[complex]) -> list[complex]:
+    """Values of the series fs, which share one center, at the point x.
 
-    Entry j is bit for bit ``ts_evaluate(f, points[j])``; the one-series case
-    of ``_evaluate_padded``.
+    At the center every term but the constant carries an exact zero factor,
+    so the values are the constants; elsewhere ``_evaluate_padded`` computes
+    them.
     """
-    return _evaluate_padded((f,), points)[0]
+    x = _as_point(x)
+    if not fs:
+        return []
+    if x == fs[0].center:
+        return [complex(f.constant) for f in fs]
+    return _evaluate_padded(fs, [x])[:, 0].tolist()
 
 
 def system_evaluate_many(f: "AnalyticSystem", points) -> np.ndarray:
-    """The k x s matrix whose row j is bit for bit
-    ``system_evaluate(f, points[j])``."""
+    """The k x s matrix whose row j is ``system_evaluate(f, points[j])``."""
     return _evaluate_padded(f.equations, points).T.copy()
 
 
 def _evaluate_padded(fs: Sequence[TruncatedSeries], points) -> np.ndarray:
     """Values of each series of fs at each row of points, shape (len(fs), k).
 
+    The package's one evaluator away from a series' center.  Each term is its
+    coefficient times dx_i^a for each variable in order (a zero exponent
+    skipped), from power tables built by repeated multiplication from 1 + 0j,
+    and the terms are summed one after another in stored order from 0 + 0j.
     Every series' terms go into one array, padded at the end with zero terms,
-    so numpy is set up once for all of them.  Entry [s, j] is bit for bit
-    ``ts_evaluate(fs[s], points[j])``: the same power tables, the same
-    per-variable product order within a term (a zero exponent skipped), and
-    the terms summed one after another in stored order; a padded term adds an
-    exact zero.  Complex products are formed from real and imaginary parts as
-    Python forms them; numpy's complex multiply may fuse them into FMAs,
-    which moves the last bit.
+    so numpy is set up once for all of them; a padded term adds an exact
+    zero.  Complex products are formed from real and imaginary parts as
+    Python forms them, so a value does not depend on the batch it is computed
+    in: numpy's complex multiply moves the last bit with the batch size.
     """
     n = fs[0].dim
     points = np.asarray(points, dtype=complex)
@@ -322,7 +295,7 @@ def _evaluate_padded(fs: Sequence[TruncatedSeries], points) -> np.ndarray:
     for i, top in enumerate(exps.max(axis=(0, 1)).tolist()):
         if not top:
             continue
-        # powers[a] = dx_i^a as ts_evaluate builds it, from 1 + 0j.
+        # powers[a] = dx_i^a, from 1 + 0j.
         pr = np.empty((top + 1, len(fs), k))
         pi = np.empty((top + 1, len(fs), k))
         pr[0], pi[0] = 1.0, 0.0
@@ -360,6 +333,9 @@ def ts_recenter(
     new_center = _as_point(new_center)
     if len(new_center) != f.dim:
         raise StructuralError("new center has wrong dimension")
+    if new_center == f.center:
+        # Every shifted term carries a factor 0 ** k with k > 0.
+        return ts_truncate(f, new_order)
     delta = [nc - oc for nc, oc in zip(new_center, f.center)]
     # rows[i, a][b] = comb(a, b) delta_i^(a-b), built once per call.
     rows: dict[tuple[int, int], list[complex]] = {}
@@ -454,8 +430,7 @@ class SeriesMatrix:
         return self.entries[i * self.cols + j]
 
     def eval_at(self, x: Sequence[complex]) -> np.ndarray:
-        vals = [ts_evaluate(e, x) for e in self.entries]
-        return np.array(vals, dtype=complex).reshape(self.rows, self.cols)
+        return np.array(_values_at(self.entries, x), dtype=complex).reshape(self.rows, self.cols)
 
     def min_order(self) -> int:
         return min((e.order for e in self.entries), default=0)
@@ -573,7 +548,7 @@ class AnalyticSystem:
 
 
 def system_evaluate(f: AnalyticSystem, x: Sequence[complex]) -> np.ndarray:
-    return np.array([ts_evaluate(eq, x) for eq in f.equations], dtype=complex)
+    return np.array(_values_at(f.equations, x), dtype=complex)
 
 
 def recenter_system(

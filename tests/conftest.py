@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -86,6 +87,18 @@ def gy2_selected(gy2):
 def gy2_trace(gy2):
     system, point, backend = gy2
     return deflation_sequence(system, point, backend), point, backend
+
+
+def gy2_at(tmp_path, point, backend):
+    """The gy2 fixture at a real ``point`` with ``backend``, read as the CLI
+    reads it."""
+    data = json.loads((FIXTURES / "gy2.json").read_text())
+    data["point"] = [[x, 0.0] for x in point]
+    data["norm_backend"] = backend
+    path = tmp_path / "gy2_moved.json"
+    path.write_text(json.dumps(data))
+    system, x0, options = parse_system(str(path))
+    return system, x0, options["backend"]
 
 
 def kss(n, x0):

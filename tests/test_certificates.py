@@ -25,6 +25,8 @@ from multiroot.series import (
     ts_scale,
 )
 
+from conftest import gy2_at
+
 C2 = (0.0, 0.0)
 
 
@@ -241,6 +243,16 @@ class TestSingularAlphaCertificate:
         direct = alpha_certificate(trace.deflated, x0, COMPLEX_EXACT)
         assert report.alpha_ok == direct.alpha_ok
         assert report.theta_low == pytest.approx(direct.theta_low, rel=1e-12)
+
+    def test_deflated_system_failing_alpha_is_a_note(self, tmp_path):
+        # 48 times the fixture's offset from the root, appendix backend: the
+        # deflation succeeds, but its square system fails the alpha test.
+        system, point, backend = gy2_at(tmp_path, (-0.024, 0.0288), "appendix")
+        report, trace = singular_alpha_certificate(system, point, backend)
+        assert trace.deflated is not None and trace.failure is None
+        assert not report.alpha_ok
+        assert report.quantities.alpha > report.alpha_bound
+        assert report.notes[0] == "hypothesis 2 failed: the deflated system fails the alpha test"
 
     def test_far_point_reports_hypothesis_failure(self, gy2):
         system, _point, backend = gy2

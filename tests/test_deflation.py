@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from multiroot import deflation
 from multiroot.bergman import COMPLEX_EXACT, BallContext
 from multiroot.certificates import singular_alpha_certificate
 from multiroot.deflation import (
@@ -33,6 +34,7 @@ from multiroot.series import (
     AnalyticSystem,
     TruncatedSeries,
     jacobian,
+    jacobian_at,
     recenter_system,
     system_evaluate,
     ts_derivative,
@@ -44,6 +46,7 @@ from conftest import (
     KERNELED_GOLDEN,
     SELECTED_GOLDEN,
     assert_system_multiset,
+    gy2_at,
     kss,
 )
 
@@ -198,7 +201,7 @@ class TestKernelOp:
         selected, _records = select_detailed(system, point, backend)
         report = numerical_rank(jacobian(selected).eval_at(point))
         assert report.rank == 1
-        kerneled = kernel_op(selected, point, report, ((0,), (0,)))
+        kerneled = kernel_op(selected, ((0,), (0,)))
         values = system_evaluate(kerneled, point)
         assert np.all(np.abs(values) <= 1e-12)
 
@@ -207,7 +210,7 @@ class TestKernelOp:
         report = numerical_rank(jacobian(f).eval_at(point))
         assert report.rank == 2
         with pytest.raises(DomainError):
-            kernel_op(f, point, report, ((0, 1), (0, 1)))
+            kernel_op(f, ((0, 1), (0, 1)))
 
 
 class TestDeflationSequence:
@@ -253,6 +256,38 @@ class TestDeflationSequence:
         assert trace.gate_failed
         failing = [s for s in trace.steps if s.gate is not None and not s.gate.passed]
         assert failing and failing[-1].gate.value_norm > failing[-1].gate.eta
+
+    def test_rank_zero_of_a_small_regular_root_is_a_report(self):
+        # {0.03x, 0.03y} has a regular root at the origin, but the a-test
+        # reads sigma_1 + sigma_2 = 0.06 < 1/9 as rank 0.
+        f = AnalyticSystem(
+            2,
+            (TruncatedSeries(C2, 1, {(1, 0): 0.03}), TruncatedSeries(C2, 1, {(0, 1): 0.03})),
+            C2,
+            1.0,
+        )
+        trace = deflation_sequence(f, C2, COMPLEX_EXACT)
+        assert trace.deflated is None and not trace.gate_failed
+        assert trace.failure == (
+            "numerical rank 0 at k=0: the rank test reads the Jacobian at x0 "
+            "as zero (sigma_max = 0.03)"
+        )
+
+    def test_rank_zero_of_gy2_far_out_is_a_report(self, tmp_path):
+        # 64 times the fixture's offset from the root, with the complex norm:
+        # the selected equations have nonzero gradients, but the singular
+        # values of their Jacobian sum to less than 1/9.
+        system, point, backend = gy2_at(tmp_path, (-0.032, 0.0384), "complex")
+        selected, _records = select_detailed(system, point, backend)
+        sigma = singular_values(jacobian_at(selected, point))
+        assert 0.0 < sum(sigma) < 1.0 / 9.0
+        trace = deflation_sequence(system, point, backend)
+        assert trace.deflated is None and not trace.gate_failed
+        assert trace.failure == (
+            "numerical rank 0 at k=0: the rank test reads the Jacobian at x0 "
+            f"as zero (sigma_max = {sigma[0]:.6g})"
+        )
+        assert f"{sigma[0]:.6g}" == "0.025425"
 
     def test_empty_selection_is_a_report(self):
         # One numerically zero equation: selection retains nothing.
@@ -363,9 +398,11 @@ class TestKSS:
         assert max(abs(v - 1.0) for v in traj[-1]) < 1e-12
 
     def test_newton_stops_before_a_longer_step(self):
-        # Iterate 1 lies 2.2e-12 from the root with two coordinates exactly
-        # 1.0; its deflation kernels a 3x3 pivot block with sigma_min 1.7e-12,
-        # and the resulting step of 1.5e-5 must not be taken.
+        # Iterate 1 lies 2.7e-12 from the root with two coordinates exactly
+        # 1.0.  Its kerneled system fails the k=1 gate (||F_1(x0)|| =
+        # 3.05176e-05 > eta = 7.49158e-14), so the step returns the point
+        # unchanged and the trajectory ends there.  The longer-step rule
+        # itself is tested in TestNewtonStops.
         x0 = (1.0000008602438026, 0.9999960601258012, 1.0000025590583586, 1.0000065761140973)
         traj = newton_iterate(kss(4, x0), x0, 4, COMPLEX_EXACT)
         assert max(abs(v - 1.0) for v in traj[-1]) < 1e-11
@@ -390,6 +427,25 @@ class TestKSS:
         report, _trace = singular_alpha_certificate(f, x0, COMPLEX_EXACT)
         assert report.notes == (trace.failure,)
         assert newton_iterate(f, x0, 4, COMPLEX_EXACT) == [x0, x0]
+
+
+class TestNewtonStops:
+    @pytest.mark.parametrize("last_y", [0.5, 0.625], ids=["equal", "longer"])
+    def test_stops_before_a_step_no_shorter_than_the_last(self, monkeypatch, last_y):
+        # Scripted steps of length 0.5, 0.25, then 0.25 or 0.375: the third
+        # point is not recorded, and no fourth step is asked for.
+        points = [(0.5 + 0j, 0j), (0.5 + 0j, 0.25 + 0j), (0.5 + 0j, complex(last_y))]
+        calls = []
+
+        def step(f, x0, backend):
+            calls.append(x0)
+            return points[len(calls) - 1]
+
+        monkeypatch.setattr(deflation, "singular_newton_step", step)
+        f, _point = regular_system()
+        traj = newton_iterate(f, (0.0, 0.0), 4, COMPLEX_EXACT)
+        assert traj == [(0j, 0j), points[0], points[1]]
+        assert calls == [(0j, 0j), points[0], points[1]]
 
 
 class TestTruncatedDeflation:

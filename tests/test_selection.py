@@ -130,7 +130,7 @@ def first_kerneled(f, x0, backend):
     if not 0 < report.rank < f.dim:
         return None
     pivots = _kerneling_pivots(j0, system_evaluate(selected, x0), report.rank)
-    return kernel_op(selected, x0, report, pivots)
+    return kernel_op(selected, pivots)
 
 
 class TestAgainstReference:
