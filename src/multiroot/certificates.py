@@ -26,7 +26,7 @@ trace: gamma_ell <= ell + gamma_0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -217,18 +217,7 @@ def singular_alpha_certificate(
     notes = report.notes
     if not report.alpha_ok:
         notes = ("hypothesis 2 failed: the deflated system fails the alpha test",) + notes
-    return (
-        CertificateReport(
-            report.quantities,
-            report.alpha_bound,
-            report.alpha_ok,
-            report.theta_low,
-            report.theta_high,
-            _gamma_radius_of(report.quantities),
-            notes,
-        ),
-        trace,
-    )
+    return replace(report, gamma_radius=_gamma_radius_of(report.quantities), notes=notes), trace
 
 
 def rank_stability_radius(

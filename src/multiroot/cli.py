@@ -16,7 +16,8 @@ Input file schema (``SystemFile``)::
 Equations are read as polynomials in the original variables, recentered at
 ``point`` and truncated at ``order``; the ambient ball is B(point, radius).
 ``deflate rank`` also accepts ``{"matrix": [[entry, ...], ...]}`` with
-entries given as numbers or [re, im] pairs.
+entries given as numbers or [re, im] pairs.  Every number must be a finite
+JSON number: ``true``, ``false``, ``NaN`` and ``Infinity`` are parse errors.
 
 Commands: ``rank``, ``deflate``, ``solve``, ``certify``.  Output is JSON on
 stdout (compact by default, ``--pretty`` for indented), byte-identical
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Sequence
 
@@ -64,14 +66,26 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value: Any) -> bool:
+    """A finite JSON number: not a boolean, NaN, an infinity or an integer
+    too large for a float."""
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _read_complex(value: Any, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_finite(value):
         return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(_is_finite(v) for v in value):
         return complex(value[0], value[1])
     raise ParseError(f"{where}: expected a number or an [re, im] pair, got {value!r}")
 
@@ -111,17 +125,17 @@ def parse_system(
         raise ParseError(f"field 'point': expected {n} coordinates")
     point = tuple(_read_complex(v, "field 'point'") for v in point_raw)
     radius = data["radius"]
-    if not isinstance(radius, (int, float)) or radius <= 0:
+    if not _is_finite(radius) or radius <= 0:
         raise ParseError("field 'radius': expected a positive number")
     order = data.get("order", 3)
     if order_override is not None:
         order = order_override
-    if not isinstance(order, int) or order < 0:
+    if not _is_int(order) or order < 0:
         raise ParseError("field 'order': expected a nonnegative integer")
     backend_name = data.get("norm_backend", "complex")
     if backend_override is not None:
         backend_name = backend_override
-    if backend_name not in _BACKEND_ALIASES:
+    if not isinstance(backend_name, str) or backend_name not in _BACKEND_ALIASES:
         raise ParseError(
             f"field 'norm_backend': expected 'complex' or 'appendix', got {backend_name!r}"
         )
@@ -129,7 +143,7 @@ def parse_system(
 
     equations = []
     for i, terms in enumerate(equations_raw):
-        where = f"equations[{i}]"
+        where = f"field 'equations'[{i}]"
         if not isinstance(terms, list) or not terms:
             raise ParseError(f"{where}: expected a nonempty list of terms")
         coeffs: dict[tuple[int, ...], complex] = {}
@@ -142,7 +156,7 @@ def parse_system(
             exps = term[1]
             if not (
                 isinstance(exps, list)
-                and all(isinstance(e, int) and e >= 0 for e in exps)
+                and all(_is_int(e) and e >= 0 for e in exps)
             ):
                 raise ParseError(f"{twhere}: exponents must be nonnegative integers")
             if len(exps) != n:
@@ -242,12 +256,12 @@ def _cmd_rank(args) -> int:
         matrix = []
         for i, row in enumerate(rows):
             if not isinstance(row, list) or not row:
-                raise ParseError(f"matrix[{i}]: expected a nonempty row")
+                raise ParseError(f"field 'matrix'[{i}]: expected a nonempty row")
             if width is None:
                 width = len(row)
             elif len(row) != width:
-                raise ParseError(f"matrix[{i}]: ragged row")
-            matrix.append([_read_complex(v, f"matrix[{i}]") for v in row])
+                raise ParseError(f"field 'matrix'[{i}]: ragged row")
+            matrix.append([_read_complex(v, f"field 'matrix'[{i}]") for v in row])
         report = numerical_rank(np.array(matrix, dtype=complex))
     else:
         system, point, options = parse_system(args.input, args.order, args.norm_backend)

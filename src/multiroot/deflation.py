@@ -31,7 +31,7 @@ immutable snapshots; traces are safe to share once built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Sequence
 
@@ -154,10 +154,16 @@ class DeflationStep:
 class DeflationTrace:
     """The full record of a deflation run.
 
-    A run ends in a deflated square system or in ``failure``, which names the
-    failed hypothesis, the index k of the system F_k it failed on, and the
-    detail.  The steps are those completed before the failure; p0 and p are
-    0 when the first selection failed.
+    ``steps`` has one step per selection the run made, followed, when the
+    run deflates, by the extraction step.  A run ends in a deflated square
+    system or in ``failure``, which names the failed hypothesis, the index k
+    of the system F_k it failed on, and the detail; the last step is then
+    the round that failed, with what it decided before the failure (a failed
+    gate, or a rank report with no pivots).  A selection that retains
+    nothing adds no step.  ``thickness`` is the number of kerneling rounds,
+    p0 and p the valuations max(depth) + 1 of the first and of the later
+    selections (both 0 when no selection was made), and ``mu_values`` the
+    steps' mu.
     """
 
     steps: tuple[DeflationStep, ...]
@@ -514,85 +520,80 @@ def _run_rounds(
 ) -> DeflationTrace:
     """Shared loop behind deflation_sequence and truncated_deflation.
 
-    Ends in the extracted square system or, at the first failed hypothesis,
-    in a trace whose ``failure`` names it.  ``truncation_orders``, when
-    given, holds max_iters + 1 orders: one per selection the cap allows.
+    Each selection adds one step right after its gate; the round then fills
+    in that step's rank report, pivots and mu as it decides them.  The run
+    ends in the extracted square system or, at the first failed hypothesis,
+    with ``failure`` naming it, and the trace is built from the steps.
+    ``truncation_orders``, when given, holds max_iters + 1 orders: one per
+    selection the cap allows.
     """
     ball = BallContext.of(f)
     steps: list[DeflationStep] = []
-    mu_values: list[float] = []
-    valuations: list[int] = []  # of each selection: p0, then one per round
-    rounds = 0
-
-    def trace(deflated=None, indices=None, failure=None) -> DeflationTrace:
-        p0 = valuations[0] if valuations else 0
-        return DeflationTrace(
-            steps=tuple(steps),
-            thickness=rounds,
-            deflated=deflated,
-            input_system=f,
-            deflated_indices=indices,
-            p0=p0,
-            p=max(valuations[1:], default=p0),
-            mu_values=tuple(mu_values),
-            failure=failure,
-        )
-
-    current, kind = f, "selection"
+    current, kind, k = f, "selection", 0
+    failure = None
     try:
         while True:
             current, records = select_detailed(current, x0, backend)
             if truncation_orders is not None:
                 current = current.with_equations(
-                    ts_truncate(eq, min(eq.order, truncation_orders[rounds]))
+                    ts_truncate(eq, min(eq.order, truncation_orders[k]))
                     for eq in current.equations
                 )
-            valuations.append(max(rec.depth for rec in records) + 1)
             gate = is_small(current, x0, ball, backend)
+            steps.append(DeflationStep(kind, current, gate, None, None, None, records))
             if not gate.passed:
-                steps.append(DeflationStep(kind, current, gate, None, None, None, records))
                 failure = (
-                    f"hypothesis 1.1 failed at k={rounds}: ||F_k(x0)|| = "
+                    f"hypothesis 1.1 failed at k={k}: ||F_k(x0)|| = "
                     f"{gate.value_norm:.6g} > eta = {gate.eta:.6g}"
                 )
                 break
             j0 = jacobian_at(current, x0)
             report = numerical_rank(j0)
+            steps[-1] = replace(steps[-1], rank_report=report)
             if report.rank == 0:
                 failure = (
-                    f"numerical rank 0 at k={rounds}: the rank test reads the "
+                    f"numerical rank 0 at k={k}: the rank test reads the "
                     f"Jacobian at x0 as zero (sigma_max = {report.sigma[0]:.6g})"
                 )
                 break
             if report.rank == current.dim:
                 square, chosen, square_report = _extract_square_indexed(current, x0, j0)
-                mu_values.append(1.0 / square_report.sigma[-1])
-                steps.append(
-                    DeflationStep(kind, current, gate, report, chosen, tuple(range(current.dim)), records, mu_values[-1])
+                cols = tuple(range(current.dim))
+                steps[-1] = replace(
+                    steps[-1], pivot_rows=chosen, pivot_cols=cols,
+                    mu=1.0 / square_report.sigma[-1],
                 )
-                steps.append(
-                    DeflationStep(
-                        "extraction", square, None, square_report, chosen, tuple(range(current.dim)), ()
-                    )
-                )
-                return trace(square, chosen)
-            pivots = _kerneling_pivots(j0, system_evaluate(current, x0), report.rank)
-            a0 = j0[np.ix_(pivots[0], pivots[1])]
-            mu_values.append(float(1.0 / np.linalg.svd(a0, compute_uv=False)[-1]))
-            steps.append(
-                DeflationStep(kind, current, gate, report, pivots[0], pivots[1], records, mu_values[-1])
-            )
-            rounds += 1
-            if rounds > max_iters:
-                failure = (
-                    f"round cap at k={rounds}: deflation exceeded {max_iters} "
-                    "kerneling rounds"
-                )
+                steps.append(DeflationStep("extraction", square, None, square_report, chosen, cols))
                 break
-            current, kind = kernel_op(current, pivots), "kerneling"
+            rows, cols = _kerneling_pivots(j0, system_evaluate(current, x0), report.rank)
+            a0 = j0[np.ix_(rows, cols)]
+            steps[-1] = replace(
+                steps[-1], pivot_rows=rows, pivot_cols=cols,
+                mu=float(1.0 / np.linalg.svd(a0, compute_uv=False)[-1]),
+            )
+            k += 1
+            if k > max_iters:
+                failure = f"round cap at k={k}: deflation exceeded {max_iters} kerneling rounds"
+                break
+            current, kind = kernel_op(current, (rows, cols)), "kerneling"
     except HypothesisFailure as exc:
-        failure = f"{type(exc).__name__} at k={rounds}: {exc}"
-    return trace(failure=failure)
+        failure = f"{type(exc).__name__} at k={k}: {exc}"
+    extraction = steps[-1] if failure is None else None
+    valuations = [
+        max(rec.depth for rec in s.provenance) + 1 for s in steps if s.kind != "extraction"
+    ]
+    p0 = valuations[0] if valuations else 0
+    return DeflationTrace(
+        steps=tuple(steps),
+        thickness=k,
+        deflated=None if extraction is None else extraction.system,
+        input_system=f,
+        deflated_indices=None if extraction is None else extraction.pivot_rows,
+        p0=p0,
+        p=max(valuations[1:], default=p0),
+        mu_values=tuple(s.mu for s in steps if s.mu is not None),
+        failure=failure,
+    )
 
 
 def deflation_sequence(
@@ -604,10 +605,10 @@ def deflation_sequence(
     """F0 = S(f), F_{k+1} = S(K(F_k)) until the Jacobian reaches rank n.
 
     Each round gates ||F(x0)|| against eta(||F||).  A failed hypothesis (the
-    gate, a selection that retains nothing, no pivot block, no extraction)
-    ends the run with ``deflated = None`` and ``failure`` naming it; a failed
-    gate is also on record in the last step.  The iteration cap is a
-    numerical safety net only (the exact theory terminates by strict
+    gate, a selection that retains nothing, rank 0, no pivot block, no
+    extraction) ends the run with ``deflated = None`` and ``failure`` naming
+    it; the round it ended is on record in the last step.  The iteration cap
+    is a numerical safety net only (the exact theory terminates by strict
     multiplicity drop).
     """
     if max_iters is None:
@@ -648,7 +649,7 @@ def singular_newton_step(
     point is returned unchanged.
     """
     x0 = tuple(complex(v) for v in x0)
-    local = recenter_system(f, x0, ball_at_center=True)
+    local = recenter_system(f, x0)
     trace = deflation_sequence(local, x0, backend)
     if trace.deflated is None:
         return x0

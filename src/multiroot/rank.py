@@ -149,37 +149,29 @@ def rank_from_singular_values(sigma) -> RankReport:
     n = len(sigma)
     s = elementary_symmetric(sigma)
     b, g, a = rank_quantities(s)
-    for k in range(1, n + 1):
-        ak = a[k - 1]
-        if ak is not None and ak < A_THRESHOLD:
-            gk = g[k - 1]
-            disc = (3.0 * ak + 1.0) ** 2 - 16.0 * ak
-            epsilon = (3.0 * ak + 1.0 - np.sqrt(disc)) / (4.0 * gk)
-            return RankReport(
-                sigma=tuple(float(x) for x in sigma),
-                s=tuple(s),
-                b=tuple(b),
-                g=tuple(g),
-                a=tuple(a),
-                m=k,
-                rank=n - k,
-                epsilon=float(epsilon),
-                full_rank=False,
-            )
-    # Full rank: the smallest m with s_{n-m} != 0 certifies sigma_n > 1/(10 g_m).
-    m_full = next((k for k in range(1, n + 1) if s[n - k] != 0.0), n)
-    g_m = g[m_full - 1]
-    epsilon = 0.0 if not g_m else 1.0 / (10.0 * g_m)
+    for m in range(1, n + 1):
+        am = a[m - 1]
+        if am is not None and am < A_THRESHOLD:
+            disc = (3.0 * am + 1.0) ** 2 - 16.0 * am
+            epsilon = (3.0 * am + 1.0 - np.sqrt(disc)) / (4.0 * g[m - 1])
+            rank = n - m
+            break
+    else:
+        # Full rank: the smallest m with s_{n-m} != 0 certifies sigma_n > 1/(10 g_m).
+        m = next((k for k in range(1, n + 1) if s[n - k] != 0.0), n)
+        gm = g[m - 1]
+        epsilon = 0.0 if not gm else 1.0 / (10.0 * gm)
+        rank = n
     return RankReport(
         sigma=tuple(float(x) for x in sigma),
         s=tuple(s),
         b=tuple(b),
         g=tuple(g),
         a=tuple(a),
-        m=m_full,
-        rank=n,
+        m=m,
+        rank=rank,
         epsilon=float(epsilon),
-        full_rank=True,
+        full_rank=rank == n,
     )
 
 

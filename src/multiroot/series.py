@@ -139,9 +139,6 @@ class TruncatedSeries:
     def constant(self) -> complex:
         return self.coefficients.get((0,) * self.dim, 0.0)
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return ts_add(self, other)
-
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return ts_sub(self, other)
 
@@ -152,9 +149,6 @@ class TruncatedSeries:
 
     def __rmul__(self, other):
         return ts_scale(self, other)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return ts_scale(self, -1.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         terms = ", ".join(f"{a}:{c:.6g}" for a, c in itertools.islice(self.items(), 6))
@@ -551,20 +545,11 @@ def system_evaluate(f: AnalyticSystem, x: Sequence[complex]) -> np.ndarray:
     return np.array(_values_at(f.equations, x), dtype=complex)
 
 
-def recenter_system(
-    f: AnalyticSystem,
-    new_center: Sequence[complex],
-    order: int | None = None,
-    ball_at_center: bool = False,
-) -> AnalyticSystem:
-    """Recenter every equation; optionally move the ball to the new center."""
+def recenter_system(f: AnalyticSystem, new_center: Sequence[complex]) -> AnalyticSystem:
+    """Recenter every equation at its own order, and the ball with them."""
     new_center = _as_point(new_center)
-    eqs = tuple(
-        ts_recenter(eq, new_center, eq.order if order is None else min(order, eq.order))
-        for eq in f.equations
-    )
-    ball_center = new_center if ball_at_center else f.ball_center
-    return AnalyticSystem(f.dim, eqs, ball_center, f.ball_radius)
+    eqs = tuple(ts_recenter(eq, new_center, eq.order) for eq in f.equations)
+    return AnalyticSystem(f.dim, eqs, new_center, f.ball_radius)
 
 
 def jacobian(f: AnalyticSystem) -> SeriesMatrix:

@@ -113,7 +113,7 @@ def kss(n, x0):
             coeffs[tuple(1 if k == j else 0 for k in range(n))] = -1.0 if j == i else 1.0
         equations.append(TruncatedSeries((0.0,) * n, 3, coeffs))
     system = AnalyticSystem(n, tuple(equations), (0.0,) * n, 1.0)
-    return recenter_system(system, x0, 3, ball_at_center=True)
+    return recenter_system(system, x0)
 
 
 def random_polynomial(rng, n=2, degree=3, center=None, order=None, real=False):

@@ -127,6 +127,65 @@ class TestParseSystem:
             parse_system(path)
 
 
+def _gy2_with(**fields):
+    data = json.loads(Path(GY2).read_text())
+    data.update(fields)
+    return data
+
+
+def _gy2_first_term(coefficient=None, exponents=None):
+    data = json.loads(Path(GY2).read_text())
+    term = data["equations"][0][0]
+    data["equations"][0][0] = [
+        term[0] if coefficient is None else coefficient,
+        term[1] if exponents is None else exponents,
+    ]
+    return data
+
+
+class TestMalformedNumbers:
+    """JSON booleans, NaN, infinities and non-string backends are parse
+    errors (exit 1) in every number the input holds."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            _gy2_with(radius=True),
+            _gy2_with(order=True),
+            _gy2_first_term(exponents=[True, 0]),
+            _gy2_first_term(coefficient=True),
+            _gy2_first_term(coefficient=[1.0, False]),
+            _gy2_with(radius=float("inf")),
+            _gy2_with(point=[[float("nan"), 0.0], [0.0006, 0.0]]),
+            _gy2_first_term(coefficient=[float("-inf"), 0.0]),
+            _gy2_with(radius=10**400),
+            _gy2_with(norm_backend=["complex"]),
+            _gy2_with(norm_backend={"name": "complex"}),
+        ],
+        ids=[
+            "radius-true", "order-true", "exponent-true", "coefficient-true",
+            "coefficient-pair-false", "radius-inf", "point-nan", "coefficient-inf",
+            "radius-overflow", "backend-list", "backend-dict",
+        ],
+    )
+    def test_system_file(self, capsys, tmp_path, payload):
+        self.assert_parse_error(capsys, tmp_path, payload, "deflate")
+
+    @pytest.mark.parametrize(
+        "entry", [True, float("nan"), [0.0, float("inf")]], ids=["true", "nan", "inf"]
+    )
+    def test_rank_matrix(self, capsys, tmp_path, entry):
+        self.assert_parse_error(capsys, tmp_path, {"matrix": [[1.0, entry], [0.0, 1.0]]}, "rank")
+
+    @staticmethod
+    def assert_parse_error(capsys, tmp_path, payload, command):
+        path = write_json(tmp_path, "bad.json", payload)
+        code, out, err = run_cli(capsys, command, "--input", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("deflate: parse error: field ")
+
+
 class TestRankCommand:
     def test_gy2_selected_jacobian(self, capsys):
         code, out, _ = run_cli(capsys, "rank", "--input", GY2)

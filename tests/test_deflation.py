@@ -44,6 +44,7 @@ from multiroot.series import (
 from conftest import (
     DEFLATED_GOLDEN,
     KERNELED_GOLDEN,
+    REPO,
     SELECTED_GOLDEN,
     assert_system_multiset,
     gy2_at,
@@ -61,6 +62,39 @@ def regular_system(point=(0.4995, 0.5005)):
     )
     f = AnalyticSystem(2, eqs, (0.0, 0.0), 2.0)
     return f, point
+
+
+def small_regular_system():
+    """{0.03x, 0.03y}: a regular root at the origin, read as rank 0."""
+    eqs = (TruncatedSeries(C2, 1, {(1, 0): 0.03}), TruncatedSeries(C2, 1, {(0, 1): 0.03}))
+    return AnalyticSystem(2, eqs, C2, 1.0), C2
+
+
+def three_directions_system():
+    """Three linear equations 0.05 (cos t, sin t) . x at t = 0, 120 and 240
+    degrees.  Their Jacobian at the origin has sigma = (0.0612, 0.0612) and
+    reads full rank, but every pair has sigma_1 + sigma_2 = 0.0966 < 1/9 and
+    reads rank 0, so no square subsystem can be extracted."""
+    eqs = tuple(
+        TruncatedSeries(
+            C2, 1, {(1, 0): 0.05 * math.cos(2 * math.pi * k / 3),
+                    (0, 1): 0.05 * math.sin(2 * math.pi * k / 3)},
+        )
+        for k in range(3)
+    )
+    return AnalyticSystem(2, eqs, C2, 1.0), C2
+
+
+# KSS-4 iterate 1 of TestKSS.test_newton_stops_where_no_pivot_block_exists:
+# the a-test reads rank 3 there, and no 3x3 pivot block clears the floor.
+KSS4_NO_PIVOT_START = (
+    0.9999999655786284, 0.9999994243013337, 1.0000009836721946, 0.9999994883739469
+)
+
+
+def kss4_no_pivot_system():
+    x1 = singular_newton_step(kss(4, KSS4_NO_PIVOT_START), KSS4_NO_PIVOT_START, COMPLEX_EXACT)
+    return kss(4, x1), x1
 
 
 class TestConstants:
@@ -213,6 +247,16 @@ class TestKernelOp:
             kernel_op(f, ((0, 1), (0, 1)))
 
 
+def assert_failed_round_step(trace, rank):
+    """The trace's one step is the selection whose round failed after its
+    rank test: gate passed, rank report on record, no pivots and no mu."""
+    [step] = trace.steps
+    assert step.kind == "selection" and step.gate.passed
+    assert step.rank_report.rank == rank
+    assert step.pivot_rows is None and step.pivot_cols is None and step.mu is None
+    assert trace.thickness == 0 and trace.deflated is None
+
+
 class TestDeflationSequence:
     def test_worked_example_trace(self, gy2_trace):
         trace, _point, _backend = gy2_trace
@@ -260,18 +304,15 @@ class TestDeflationSequence:
     def test_rank_zero_of_a_small_regular_root_is_a_report(self):
         # {0.03x, 0.03y} has a regular root at the origin, but the a-test
         # reads sigma_1 + sigma_2 = 0.06 < 1/9 as rank 0.
-        f = AnalyticSystem(
-            2,
-            (TruncatedSeries(C2, 1, {(1, 0): 0.03}), TruncatedSeries(C2, 1, {(0, 1): 0.03})),
-            C2,
-            1.0,
-        )
-        trace = deflation_sequence(f, C2, COMPLEX_EXACT)
+        f, point = small_regular_system()
+        trace = deflation_sequence(f, point, COMPLEX_EXACT)
         assert trace.deflated is None and not trace.gate_failed
         assert trace.failure == (
             "numerical rank 0 at k=0: the rank test reads the Jacobian at x0 "
             "as zero (sigma_max = 0.03)"
         )
+        assert_failed_round_step(trace, rank=0)
+        assert (trace.p0, trace.p, trace.mu_values) == (1, 1, ())
 
     def test_rank_zero_of_gy2_far_out_is_a_report(self, tmp_path):
         # 64 times the fixture's offset from the root, with the complex norm:
@@ -288,6 +329,16 @@ class TestDeflationSequence:
             f"as zero (sigma_max = {sigma[0]:.6g})"
         )
         assert f"{sigma[0]:.6g}" == "0.025425"
+        assert_failed_round_step(trace, rank=0)
+
+    def test_extraction_failure_round_is_a_step(self):
+        f, point = three_directions_system()
+        trace = deflation_sequence(f, point, COMPLEX_EXACT)
+        assert trace.failure == (
+            "ExtractionError at k=0: no equation subset achieves full numerical rank"
+        )
+        assert_failed_round_step(trace, rank=2)
+        assert trace.steps[0].system.size == 3
 
     def test_empty_selection_is_a_report(self):
         # One numerically zero equation: selection retains nothing.
@@ -358,7 +409,7 @@ def griewank_osborne(x0):
         TruncatedSeries(C2, 3, {(3, 0): 29 / 16, (1, 1): -2.0}),
         TruncatedSeries(C2, 3, {(0, 1): 1.0, (2, 0): -1.0}),
     )
-    return recenter_system(AnalyticSystem(2, eqs, C2, 1.0), x0, 3, ball_at_center=True)
+    return recenter_system(AnalyticSystem(2, eqs, C2, 1.0), x0)
 
 
 class TestGriewankOsborne:
@@ -414,6 +465,14 @@ class TestKSS:
         x0 = (0.9999999655786284, 0.9999994243013337, 1.0000009836721946, 0.9999994883739469)
         traj = newton_iterate(kss(4, x0), x0, 4, COMPLEX_EXACT)
         assert math.sqrt(sum(abs(v - 1.0) ** 2 for v in traj[-1])) < 1e-14
+
+    def test_no_pivot_block_round_is_a_step(self):
+        f, point = kss4_no_pivot_system()
+        trace = deflation_sequence(f, point, COMPLEX_EXACT)
+        assert trace.failure.startswith(
+            "RankDeficiencyError at k=0: no nonsingular 3x3 pivot block found"
+        )
+        assert_failed_round_step(trace, rank=3)
 
     def test_failed_selection_is_a_report(self):
         # A start whose perturbation has exact zeros: the Jacobian has exact
@@ -529,3 +588,48 @@ class TestSingularNewton:
         assert all(
             abs(x[0] - 0.5) <= 1e-14 and abs(x[1] - 0.5) <= 1e-14 for x in traj
         )
+
+
+class TestOneStepPerSelection:
+    def test_steps_match_selections(self, tmp_path, monkeypatch):
+        # Every selection the run makes adds exactly one step, and the run
+        # fails exactly when its last step is not the extraction.
+        monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+        import gen
+        from multiroot.cli import parse_system
+
+        selections = []
+
+        def counted(f, x0, backend):
+            result = select_detailed(f, x0, backend)
+            selections.append(result)
+            return result
+
+        monkeypatch.setattr(deflation, "select_detailed", counted)
+        cases = [
+            parse_system(str(path))
+            for block in gen.family_inputs(tmp_path, 5, 4)
+            for path in block
+        ]
+        cases = [(f, x0, options["backend"]) for f, x0, options in cases]
+        cases += [
+            (*small_regular_system(), COMPLEX_EXACT),
+            gy2_at(tmp_path, (-0.032, 0.0384), "complex"),
+            (*three_directions_system(), COMPLEX_EXACT),
+            (*kss4_no_pivot_system(), COMPLEX_EXACT),
+            # Selection retains nothing: no selection, no step.
+            (AnalyticSystem(2, (TruncatedSeries(C2, 2, {(0, 0): 1e-20}),), C2, 1.0), C2,
+             COMPLEX_EXACT),
+        ]
+        endings = set()
+        for f, x0, backend in cases:
+            selections.clear()
+            trace = deflation_sequence(f, x0, backend)
+            kinds = [step.kind for step in trace.steps]
+            assert len(kinds) - kinds.count("extraction") == len(selections)
+            assert (trace.failure is None) == (kinds[-1:] == ["extraction"])
+            endings.add((trace.failure or "deflated").split(" at k=")[0])
+        assert endings == {
+            "deflated", "hypothesis 1.1 failed", "numerical rank 0", "ExtractionError",
+            "RankDeficiencyError", "TruncationExhaustedError",
+        }
