@@ -49,6 +49,7 @@ from .rank import (
     RankReport,
     full_rank_mask,
     numerical_rank,
+    rank_from_singular_values,
     rounding_floor,
     singular_values,
 )
@@ -57,11 +58,11 @@ from .series import (
     AnalyticSystem,
     TruncatedSeries,
     is_zero_series,
-    jacobian,
+    _jacobian_schur,
     jacobian_at,
     max_coeff,
+    maxima_apart,
     recenter_system,
-    schur_complement,
     series_close,
     system_evaluate,
     system_evaluate_many,
@@ -249,7 +250,10 @@ def _select_walk(
 
     - A node fails whenever |value| > eta(0): R + ||f|| >= R rounds
       monotonically, so eta(||f||) <= eta(0).  Only the other nodes pay for a
-      norm, through ``is_small``.
+      norm, and take ``is_small``'s decision with the value already computed.
+    - A pending series whose largest coefficient differs from a retained
+      one's by more than the zero threshold allows cannot equal it
+      (``maxima_apart``), so it is not compared coefficient by coefficient.
     - At the center, child i's value is |coefficient of e_i|.  When that
       exceeds both eta(0) and the zero floor ZERO_RTOL (1 + max_coeff), the
       child is nonzero and fails: its parent is retained and no derivative is
@@ -264,14 +268,21 @@ def _select_walk(
     retained: list[tuple[TruncatedSeries, SelectionRecord, float]] = []
 
     def retain(series: TruncatedSeries, record: SelectionRecord, top: float) -> None:
-        if not any(
-            series is kept or series_close(series, kept, scale=1.0 + max(top, kept_top))
-            for kept, _, kept_top in retained
-        ):
-            retained.append((series, record, top))
+        for kept, _, kept_top in retained:
+            if series is kept or (
+                not maxima_apart(top, kept_top)
+                and series_close(series, kept, scale=1.0 + max(top, kept_top))
+            ):
+                return
+        retained.append((series, record, top))
 
     def walk(eq: TruncatedSeries, record: SelectionRecord) -> bool:
-        if abs(ts_evaluate(eq, x0)) > eta0 or not is_small(eq, x0, ball, backend).passed:
+        # is_small's gate, with the value computed once for both tests.
+        value = abs(ts_evaluate(eq, x0))
+        if value > eta0:
+            return True
+        eta = eta_threshold(series_norm_a2(eq, ball, backend), ball.dim, ball.radius)
+        if not value <= eta:
             return True
         if eq.order == 0:
             # A passer with nothing left to differentiate is numerically the
@@ -314,11 +325,10 @@ def select_detailed(
 
     Each equation is walked depth first.  At a node the gate is decided in
     this order: the value against eta(0), which fails the node on its own;
-    then, only if the value is at or below eta(0), the full gate
-    ``is_small`` with the node's norm.  A passing node's nonzero partial
-    derivatives are walked in variable order; at x0 = the center, a child
-    whose value (a linear coefficient) already fails the bound is decided
-    without building it.  A failing node retains its parent unless an equal
+    then, only if the value is at or below eta(0), ``is_small``'s gate with
+    the node's norm.  A passing node's nonzero partial derivatives are walked
+    in variable order; at x0 = the center, a child whose value (a linear
+    coefficient) already fails the bound is decided without building it.  A failing node retains its parent unless an equal
     series is already retained.  See ``_select_walk``.
     """
     ball = BallContext.of(f)
@@ -395,18 +405,21 @@ def _pivot_residuals(
 
 def _kerneling_pivots(
     j0: np.ndarray, values: np.ndarray, r: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Pivot block choice for one kerneling round.
+) -> tuple[tuple[int, ...], tuple[int, ...], float]:
+    """Pivot block choice for one kerneling round: (rows, cols, sigma_min).
 
     Among all nonsingular r x r pivot blocks, take the one minimizing the
     kerneling residual ||K(f)(x0)|| (the quantity the kerneling acceptance
     inequality tests).  Candidates within 0.1% of the best are tied and
     resolved by smallest column indices, then smallest row indices.  Falls
     back to greedy complete pivoting when the search space is large.
+    sigma_min is the block's smallest singular value: the brute-force
+    search's own, which the one-block SVD reproduces bit for bit.
     """
     s, n = j0.shape
     if math.comb(s, r) * math.comb(n, r) > _PIVOT_BRUTE_LIMIT:
-        return pivot_selection(j0, r)
+        rows, cols = pivot_selection(j0, r)
+        return rows, cols, float(np.linalg.svd(j0[np.ix_(rows, cols)], compute_uv=False)[-1])
     scale = float(np.linalg.norm(j0, 2))
     row_sets = list(combinations(range(s), r))
     col_sets = list(combinations(range(n), r))
@@ -426,13 +439,14 @@ def _kerneling_pivots(
         j0, values, rows_a[ii], cols_a[jj], other_rows[ii], other_cols[jj]
     )
     candidates = [
-        (float(k), col_sets[j], row_sets[i]) for k, i, j in zip(residuals, ii, jj)
+        (float(k), col_sets[j], row_sets[i], float(smin[i, j]))
+        for k, i, j in zip(residuals, ii, jj)
     ]
     kmin = min(c[0] for c in candidates)
     band = kmin * (1.0 + 1e-3) + 1e-15 * scale
     tied = [c for c in candidates if c[0] <= band]
-    _knorm, cols, rows = min(tied, key=lambda c: (c[1], c[2]))
-    return rows, cols
+    _knorm, cols, rows, sigma_min = min(tied, key=lambda c: (c[1], c[2]))
+    return rows, cols, sigma_min
 
 
 def kernel_op(
@@ -450,11 +464,9 @@ def kernel_op(
     row_idx, col_idx = pivots
     if len(row_idx) >= f.dim:
         raise DomainError("kerneling requires rank < n (nothing to eliminate)")
-    jac = jacobian(f)
-    order = jac.min_order()
-    schur = schur_complement(jac, row_idx, col_idx, order)
+    order = max(f.min_order() - 1, 0)
     equations = [ts_truncate(f.equations[i], order) for i in row_idx]
-    equations.extend(schur.entries)
+    equations.extend(_jacobian_schur(f, row_idx, col_idx, order))
     return f.with_equations(equations)
 
 
@@ -468,26 +480,38 @@ def _extract_square_indexed(
         values = system_evaluate(f, x0)
         x0a = np.array([complex(t) for t in x0])
         combos = np.array(list(combinations(range(s), n)))
-        # A full-rank report certifies sigma_n > 0, so the solves succeed.
-        admitted = combos[full_rank_mask(singular_values(j0[combos]))]
+        sigmas = singular_values(j0[combos])
+        full = full_rank_mask(sigmas)
+        admitted, sigmas = combos[full], sigmas[full]
         if not len(admitted):
             raise ExtractionError("no equation subset achieves full numerical rank")
+        # A full-rank report certifies sigma_n > 0, so the solves succeed.
         # Each admitted subset's Newton point, and every equation at all of them.
         delta = np.linalg.solve(j0[admitted], values[admitted][..., None])[..., 0]
         points = x0a - delta
         at_points = system_evaluate_many(f, points)
-        _residual, chosen = min(
-            (float(np.linalg.norm(v)), tuple(int(i) for i in combo))
-            for v, combo in zip(at_points, admitted)
+        # The batched norms differ from the per-row ones by about s eps
+        # relative, so every subset that can tie the smallest exact residual
+        # lies within 1e-12 of the smallest estimate; with a NaN among them
+        # every subset is compared.
+        estimate = np.linalg.norm(at_points, axis=1)
+        near = (
+            np.arange(len(admitted)) if np.isnan(estimate).any()
+            else np.flatnonzero(estimate <= estimate.min() * (1.0 + 1e-12))
         )
+        _residual, chosen, best = min(
+            (float(np.linalg.norm(at_points[k])), tuple(int(i) for i in admitted[k]), k)
+            for k in near.tolist()
+        )
+        report = rank_from_singular_values(sigmas[best])
     else:
         # Pivot columns of the transpose are well-conditioned equation rows.
         _rows, cols = pivot_selection(j0.T, n)
         chosen = tuple(sorted(cols))
+        report = numerical_rank(j0[list(chosen), :])
+        if report.rank < n:
+            raise ExtractionError("no equation subset achieves full numerical rank")
     square = f.with_equations(f.equations[i] for i in chosen)
-    report = numerical_rank(j0[list(chosen), :])
-    if report.rank < n:
-        raise ExtractionError("no equation subset achieves full numerical rank")
     return square, chosen, report
 
 
@@ -565,12 +589,10 @@ def _run_rounds(
                 )
                 steps.append(DeflationStep("extraction", square, None, square_report, chosen, cols))
                 break
-            rows, cols = _kerneling_pivots(j0, system_evaluate(current, x0), report.rank)
-            a0 = j0[np.ix_(rows, cols)]
-            steps[-1] = replace(
-                steps[-1], pivot_rows=rows, pivot_cols=cols,
-                mu=float(1.0 / np.linalg.svd(a0, compute_uv=False)[-1]),
+            rows, cols, sigma_min = _kerneling_pivots(
+                j0, system_evaluate(current, x0), report.rank
             )
+            steps[-1] = replace(steps[-1], pivot_rows=rows, pivot_cols=cols, mu=1.0 / sigma_min)
             k += 1
             if k > max_iters:
                 failure = f"round cap at k={k}: deflation exceeded {max_iters} kerneling rounds"

@@ -15,7 +15,6 @@ deterministic.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,8 +22,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import SingularPivotError, StructuralError
-from .rank import singular_values
+from .errors import StructuralError
+from .schur import SchurLayout, jacobian_layout
 
 __all__ = [
     "TruncatedSeries",
@@ -41,6 +40,7 @@ __all__ = [
     "max_coeff",
     "is_zero_series",
     "series_close",
+    "maxima_apart",
     "jacobian",
     "jacobian_at",
     "schur_complement",
@@ -389,6 +389,13 @@ def series_close(
     )
 
 
+def maxima_apart(top_a: float, top_b: float) -> bool:
+    """True when series with largest coefficients top_a and top_b cannot be
+    ``series_close``: | ||a|| - ||b|| | <= ||a - b|| in the max norm, and the
+    factor 2 on the threshold covers the rounding of the two maxima."""
+    return abs(top_a - top_b) > 2.0 * ZERO_RTOL * (1.0 + max(top_a, top_b))
+
+
 @dataclass(frozen=True)
 class SeriesMatrix:
     """A rows x cols matrix of series sharing one center.
@@ -430,9 +437,14 @@ class SeriesMatrix:
         return min((e.order for e in self.entries), default=0)
 
 
-def _dot(weights, series: Sequence[TruncatedSeries]) -> TruncatedSeries:
-    """The sum of weights[k] * series[k]; a weight is a number or a series."""
-    return functools.reduce(ts_add, (s * w for w, s in zip(weights, series)))
+def _series_of(
+    center: Point, order: int, monos: list[Exponent], coeffs: np.ndarray
+) -> list[TruncatedSeries]:
+    """The series of a coefficient array (M, rows, cols), row-major."""
+    return [
+        TruncatedSeries._of(center, order, {a: c for a, c in zip(monos, column) if c})
+        for column in coeffs.reshape(len(monos), -1).T.tolist()
+    ]
 
 
 def schur_complement(
@@ -451,46 +463,23 @@ def schur_complement(
     (rows-r) x (cols-r) matrix over the complementary rows and columns, which
     is empty when the pivot exhausts the rows or the columns.
     """
-    row_idx = list(row_idx)
-    col_idx = list(col_idx)
-    r = len(row_idx)
-    if r != len(col_idx) or r < 1:
-        raise StructuralError("pivot row and column index sets must have equal size >= 1")
-    if len(set(row_idx)) != r or len(set(col_idx)) != r:
-        raise StructuralError("duplicate pivot indices")
-    other_rows = [i for i in range(m.rows) if i not in set(row_idx)]
-    other_cols = [j for j in range(m.cols) if j not in set(col_idx)]
-    if not other_rows or not other_cols:
-        return SeriesMatrix(len(other_rows), len(other_cols), ())
-
-    def lifted(i: int, j: int) -> TruncatedSeries:
-        return ts_truncate(m.entry(i, j), order)
-
-    a_blk = [[lifted(i, j) for j in col_idx] for i in row_idx]
-    a0 = np.array([[e.constant for e in row] for row in a_blk], dtype=complex)
-    if singular_values(a0)[-1] == 0.0:
-        raise SingularPivotError("pivot block is numerically singular at the center")
-    a0_inv = np.linalg.inv(a0)
-    n_blk = [
-        [
-            TruncatedSeries._of(e.center, order, {a: c for a, c in e.coefficients.items() if any(a)})
-            for e in row
-        ]
-        for row in a_blk
+    terms = [
+        (i, j, *a)
+        for i in range(m.rows)
+        for j in range(m.cols)
+        for a in m.entry(i, j).coefficients
+        if sum(a) <= order
     ]
-    solved = []
-    for j in other_cols:
-        b = [lifted(i, j) for i in row_idx]
-        x = b
-        for _ in range(order + 1):
-            residual = [bi - _dot(ni, x) for bi, ni in zip(b, n_blk)]
-            x = [_dot(w, residual) for w in a0_inv]
-        solved.append(x)
-    rows = []
-    for i in other_rows:
-        c = [lifted(i, k) for k in col_idx]
-        rows.append([lifted(i, j) - _dot(c, x) for j, x in zip(other_cols, solved)])
-    return SeriesMatrix.from_rows(rows)
+    n = m.entries[0].dim if m.entries else 0
+    layout = SchurLayout(
+        n, m.rows, m.cols, row_idx, col_idx, order, np.array(terms, dtype=int).reshape(-1, n + 2)
+    )
+    monos, schur = layout.solve(
+        [c for e in m.entries for a, c in e.coefficients.items() if sum(a) <= order]
+    )
+    rows, cols = schur.shape[1:]
+    center = m.entries[0].center if m.entries else ()
+    return SeriesMatrix(rows, cols, tuple(_series_of(center, order, monos, schur)))
 
 
 @dataclass(frozen=True)
@@ -572,3 +561,16 @@ def jacobian_at(f: AnalyticSystem, x: Sequence[complex]) -> np.ndarray:
     return np.array(
         [[eq.coefficients.get(u, 0.0) for u in units] for eq in f.equations], dtype=complex
     )
+
+
+def _jacobian_schur(
+    f: AnalyticSystem, row_idx: Sequence[int], col_idx: Sequence[int], order: int
+) -> list[TruncatedSeries]:
+    """The entries of ``schur_complement(jacobian(f), row_idx, col_idx,
+    order)``, row-major, read from f's coefficients without building the
+    Jacobian."""
+    exponents = tuple(tuple(eq.coefficients) for eq in f.equations)
+    src, mult, layout = jacobian_layout(exponents, f.dim, order, tuple(row_idx), tuple(col_idx))
+    values = np.array([c for eq in f.equations for c in eq.coefficients.values()], dtype=complex)
+    monos, schur = layout.solve(mult * values[src])
+    return _series_of(f.center, order, monos, schur)

@@ -116,6 +116,27 @@ def kss(n, x0):
     return recenter_system(system, x0)
 
 
+def recentered(equations, x0, order=3):
+    """Polynomials given as {exponent: coefficient} dicts, as the CLI reads
+    them: recentered at x0, truncated at ``order``, unit ball around x0."""
+    n = len(x0)
+    full = tuple(TruncatedSeries((0.0,) * n, order, coeffs) for coeffs in equations)
+    return recenter_system(AnalyticSystem(n, full, (0.0,) * n, 1.0), x0)
+
+
+# Ojika1 (Dayton and Zeng, ISSAC 2005): root (1, 2), thickness 2.
+OJIKA1 = (
+    {(2, 0): 1.0, (0, 1): 1.0, (0, 0): -3.0},
+    {(1, 0): 1.0, (0, 2): 0.125, (0, 0): -1.5},
+)
+
+
+def ojika1(d):
+    """Ojika1 at x0 = (1 + d, 2 - 0.7 d), order 3: (system, x0)."""
+    x0 = (1.0 + d, 2.0 - 0.7 * d)
+    return recentered(OJIKA1, x0), x0
+
+
 def random_polynomial(rng, n=2, degree=3, center=None, order=None, real=False):
     center = center or (0.0,) * n
     coeffs = {}

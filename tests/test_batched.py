@@ -19,14 +19,28 @@ from multiroot.bergman import (
     _slice_moments,
     series_norm_a2,
 )
-from multiroot.deflation import _extract_square_indexed, _kerneling_pivots, _pivot_residuals
-from multiroot.rank import full_rank_mask, rank_from_singular_values, singular_values
+from multiroot.cli import parse_system
+from multiroot.deflation import (
+    _extract_square_indexed,
+    _kerneling_pivots,
+    _pivot_residuals,
+    deflation_sequence,
+    newton_iterate,
+)
+from multiroot.rank import (
+    RankReport,
+    full_rank_mask,
+    numerical_rank,
+    rank_from_singular_values,
+    singular_values,
+)
 from multiroot.series import (
     AnalyticSystem,
     TruncatedSeries,
     _evaluate_padded,
     jacobian,
     jacobian_at,
+    recenter_system,
     system_evaluate,
     system_evaluate_many,
     ts_derivative,
@@ -238,11 +252,15 @@ class TestPivotResiduals:
         band = kmin * (1.0 + 1e-3) + 1e-15 * float(np.linalg.norm(j0, 2))
         tied = [(p[1], p[0]) for p, k in zip(pairs, want) if k <= band]
         cols_ref, rows_ref = min(tied)
-        assert _kerneling_pivots(j0, values, r) == (rows_ref, cols_ref)
+        rows, cols, sigma_min = _kerneling_pivots(j0, values, r)
+        assert (rows, cols) == (rows_ref, cols_ref)
+        # The search's batched sigma_min is the one-block SVD's, bit for bit.
+        one_block = np.linalg.svd(j0[np.ix_(rows, cols)], compute_uv=False)[-1]
+        assert np.array_equal(np.array(sigma_min).view(np.uint64), one_block.view(np.uint64))
 
 
-def reference_extraction(f: AnalyticSystem, x0, j0) -> tuple[int, ...]:
-    """Extraction's subset choice, one subset at a time."""
+def reference_extraction(f: AnalyticSystem, x0, j0) -> tuple[tuple[int, ...], RankReport]:
+    """Extraction's subset choice, one subset at a time, and its rank report."""
     n, s = f.dim, f.size
     values = system_evaluate(f, x0)
     x0a = np.array([complex(t) for t in x0])
@@ -255,7 +273,7 @@ def reference_extraction(f: AnalyticSystem, x0, j0) -> tuple[int, ...]:
         residual = float(np.linalg.norm([ts_evaluate(eq, candidate) for eq in f.equations]))
         if best is None or (residual, combo) < best:
             best = (residual, combo)
-    return best[1]
+    return best[1], numerical_rank(j0[list(best[1]), :])
 
 
 class TestExtraction:
@@ -269,8 +287,29 @@ class TestExtraction:
                 f = f.with_equations(f.equations + f.equations[:1])
             x0 = tuple(0.1 * rng.standard_normal(n))
             j0 = jacobian(f).eval_at(x0)
-            _square, chosen, _report = _extract_square_indexed(f, x0, j0)
-            assert chosen == reference_extraction(f, x0, j0)
+            _square, chosen, report = _extract_square_indexed(f, x0, j0)
+            assert (chosen, report) == reference_extraction(f, x0, j0)
+
+    def test_benchmark_inputs(self, tmp_path):
+        """The extraction rounds of the family inputs (8 per family, seed
+        802) and of 8 gy2 points, at x0 and at the first Newton iterate."""
+        gen = _load_gen()
+        paths = [p for block in gen.family_inputs(tmp_path, 802, 8) for p in block]
+        paths += gen.gy2_inputs(tmp_path, 0, 7)
+        rounds = 0
+        for path in paths:
+            system, point, options = parse_system(str(path))
+            backend = options["backend"]
+            for x0 in newton_iterate(system, point, 1, backend):
+                trace = deflation_sequence(recenter_system(system, x0), x0, backend)
+                if trace.deflated is None:
+                    continue
+                f = trace.steps[-2].system
+                j0 = jacobian_at(f, x0)
+                _square, chosen, report = _extract_square_indexed(f, x0, j0)
+                assert (chosen, report) == reference_extraction(f, x0, j0), path.stem
+                rounds += 1
+        assert rounds >= len(paths)
 
 
 class TestNormCaches:

@@ -49,6 +49,8 @@ from conftest import (
     assert_system_multiset,
     gy2_at,
     kss,
+    ojika1,
+    recentered,
 )
 
 C2 = (0.0, 0.0)
@@ -218,10 +220,11 @@ class TestKernelingPivots:
         rng = np.random.default_rng(17)
         j0 = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 6))
         assert math.comb(12, 3) * math.comb(6, 3) > _PIVOT_BRUTE_LIMIT
-        rows, cols = _kerneling_pivots(j0, rng.standard_normal(12), 3)
+        rows, cols, sigma_min = _kerneling_pivots(j0, rng.standard_normal(12), 3)
         assert len(set(rows)) == 3 and len(set(cols)) == 3
         block = j0[np.ix_(rows, cols)]
         assert singular_values(block, np.linalg.norm(j0, 2))[-1] > 0.0
+        assert sigma_min == np.linalg.svd(block, compute_uv=False)[-1]
 
 
 class TestKernelOp:
@@ -633,3 +636,56 @@ class TestOneStepPerSelection:
             "deflated", "hypothesis 1.1 failed", "numerical rank 0", "ExtractionError",
             "RankDeficiencyError", "TruncationExhaustedError",
         }
+
+
+class TestThicknessTwo:
+    """Ojika1, {x^2 + y - 3, x + y^2/8 - 3/2} at R = 1 and order 3, kernels
+    twice, the second time on an already-kerneled system."""
+
+    @pytest.mark.parametrize("d", [1e-3, 1e-4, 1e-5, 3e-6])
+    def test_two_kerneling_rounds(self, d):
+        f, x0 = ojika1(d)
+        trace = deflation_sequence(f, x0, COMPLEX_EXACT)
+        assert trace.failure is None
+        assert trace.thickness == 2
+        assert [s.kind for s in trace.steps] == ["selection", "kerneling", "kerneling", "extraction"]
+        assert [s.rank_report.rank for s in trace.steps[:3]] == [1, 1, 2]
+        assert (trace.p0, trace.p) == (1, 1)
+
+    def test_mu_values(self):
+        f, x0 = ojika1(1e-3)
+        trace = deflation_sequence(f, x0, COMPLEX_EXACT)
+        assert trace.mu_values == pytest.approx((1.0, 1.0, 1.53568), rel=1e-5)
+
+    def test_newton_reaches_the_root(self):
+        f, x0 = ojika1(1e-3)
+        traj = newton_iterate(f, x0, 4, COMPLEX_EXACT)
+        assert math.dist([v.real for v in traj[-1]], (1.0, 2.0)) <= 1e-12
+
+
+class TestTwoByTwoPivot:
+    """{x + y + z + x^2, x - 3y + y^2, 2x - 2y + z + z^2} at R = 1 and order 3
+    kernels a 2 x 2 pivot block, so mu = 1/sigma_min differs from
+    1/sigma_max."""
+
+    X0 = tuple(1e-3 * v for v in (0.6, -0.3, 0.75))
+    EQUATIONS = (
+        {(1, 0, 0): 1.0, (0, 1, 0): 1.0, (0, 0, 1): 1.0, (2, 0, 0): 1.0},
+        {(1, 0, 0): 1.0, (0, 1, 0): -3.0, (0, 2, 0): 1.0},
+        {(1, 0, 0): 2.0, (0, 1, 0): -2.0, (0, 0, 1): 1.0, (0, 0, 2): 1.0},
+    )
+
+    def test_block_and_mu(self):
+        f = recentered(self.EQUATIONS, self.X0)
+        step = deflation_sequence(f, self.X0, COMPLEX_EXACT).steps[0]
+        assert (step.pivot_rows, step.pivot_cols) == ((0, 1), (0, 1))
+        block = jacobian_at(step.system, self.X0)[:2, :2]
+        sigma = np.linalg.svd(block, compute_uv=False)
+        assert sigma == pytest.approx((3.2366, 1.2372), rel=1e-4)
+        assert step.mu == 1.0 / sigma[-1]
+        assert step.mu == pytest.approx(0.80829, rel=1e-5)
+
+    def test_newton_reaches_the_root(self):
+        f = recentered(self.EQUATIONS, self.X0)
+        traj = newton_iterate(f, self.X0, 4, COMPLEX_EXACT)
+        assert max(abs(v) for v in traj[-1]) <= 1e-15

@@ -1,12 +1,14 @@
-"""``schur_complement`` against the exact Schur complement of its inputs.
+"""Kerneling's Schur complement against the exact one of its inputs.
 
 Each float coefficient is read as the rational it stores
 (``fractions.Fraction``), and the fixed-point solve x <- A0^{-1} (b - N x)
 runs in exact arithmetic, with the exact A0^{-1}.  The inputs are the first
-kerneling round of each of the 384 KSS benchmark inputs at seed 802, and of
-the KSS-5 start with exact zeros.  Their pivot blocks have 1/sigma_min up to
-7.2e6, and every coefficient of the float complement must lie within 1e-8 of
-the largest exact one.
+kerneling round of each of the 384 KSS benchmark inputs at seed 802, of the
+KSS-5 start with exact zeros, and both rounds of Ojika1, whose second round
+kernels an already-kerneled system.  The KSS pivot blocks have 1/sigma_min
+up to 7.2e6, and every coefficient of the float complement must lie within
+1e-8 of the largest exact one.  The complement is the one ``kernel_op``
+appends, and ``schur_complement`` of the Jacobian gives the same bits.
 """
 
 import sys
@@ -15,10 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import kss
+from conftest import kss, ojika1
 from multiroot.bergman import COMPLEX_EXACT
 from multiroot.cli import parse_system
-from multiroot.deflation import deflation_sequence
+from multiroot.deflation import deflation_sequence, kernel_op
 from multiroot.series import jacobian, schur_complement
 
 REPO = Path(__file__).resolve().parents[1]
@@ -101,14 +103,15 @@ def exact_schur(m, rows, cols, order):
     return [out[j][i] for i in range(len(other_rows)) for j in range(len(other_cols))]
 
 
-def first_round_error(trace) -> float:
-    """Largest coefficient error of the first round's complement, relative to
-    the largest exact coefficient."""
-    step = trace.steps[0]
+def round_error(step) -> float:
+    """Largest coefficient error of the complement that kerneling appends for
+    a step's pivots, relative to the largest exact coefficient."""
     jac = jacobian(step.system)
     order = jac.min_order()
     rows, cols = list(step.pivot_rows), list(step.pivot_cols)
-    got = schur_complement(jac, rows, cols, order).entries
+    got = kernel_op(step.system, (rows, cols)).equations[len(rows):]
+    public = schur_complement(jac, rows, cols, order).entries
+    assert [g.coefficients for g in got] == [p.coefficients for p in public]
     want = exact_schur(jac, rows, cols, order)
     scale = max(abs(c) for w in want for c in w.values())
     assert scale > 0
@@ -144,7 +147,7 @@ def kss_traces(tmp_path_factory):
 
 @pytest.mark.parametrize("family", ["kss3", "kss4", "kss5", "kss6"])
 def test_family_first_round_is_exact(kss_traces, family):
-    errors = {stem: first_round_error(trace) for stem, trace in kss_traces[family]}
+    errors = {stem: round_error(trace.steps[0]) for stem, trace in kss_traces[family]}
     assert len(errors) == 96  # every input of the family kernels
     worst = max(errors, key=errors.get)
     assert errors[worst] <= RTOL, (worst, errors[worst])
@@ -154,4 +157,13 @@ def test_exact_zero_start_is_exact():
     f = kss(5, KSS5_EXACT_ZEROS)
     trace = deflation_sequence(f, KSS5_EXACT_ZEROS, COMPLEX_EXACT)
     assert trace.thickness >= 1
-    assert first_round_error(trace) <= RTOL
+    assert round_error(trace.steps[0]) <= RTOL
+
+
+def test_thickness_two_rounds_are_exact():
+    f, x0 = ojika1(1e-3)
+    trace = deflation_sequence(f, x0, COMPLEX_EXACT)
+    assert trace.thickness == 2
+    assert [s.kind for s in trace.steps[:2]] == ["selection", "kerneling"]
+    for step in trace.steps[:2]:
+        assert round_error(step) <= RTOL

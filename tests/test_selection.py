@@ -29,9 +29,11 @@ from multiroot.rank import numerical_rank
 from multiroot.series import (
     AnalyticSystem,
     TruncatedSeries,
+    ZERO_RTOL,
     is_zero_series,
     jacobian_at,
     max_coeff,
+    maxima_apart,
     series_close,
     system_evaluate,
     ts_derivative,
@@ -129,8 +131,8 @@ def first_kerneled(f, x0, backend):
     report = numerical_rank(j0)
     if not 0 < report.rank < f.dim:
         return None
-    pivots = _kerneling_pivots(j0, system_evaluate(selected, x0), report.rank)
-    return kernel_op(selected, pivots)
+    rows, cols, _sigma_min = _kerneling_pivots(j0, system_evaluate(selected, x0), report.rank)
+    return kernel_op(selected, (rows, cols))
 
 
 class TestAgainstReference:
@@ -276,3 +278,51 @@ def test_no_norm_for_a_value_above_eta0(monkeypatch, family_systems):
             pass
         assert seen
         assert all(abs(ts_evaluate(s, x0)) <= eta0 for s in seen)
+
+
+class TestMaximaApart:
+    """``retain`` skips the coefficient comparison of two series whose
+    largest coefficients are apart; that must never skip a pair that
+    ``series_close`` would call equal."""
+
+    @staticmethod
+    def pairs(rng):
+        """Pairs (a, b) with b = a moved by about the zero threshold, in every
+        coefficient and along a's largest one, over many magnitudes."""
+        for _ in range(4000):
+            n = int(rng.integers(1, 8))
+            keys = [(k, 0) for k in range(n)]
+            values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            values *= 10.0 ** rng.uniform(-14, 6)
+            a = TruncatedSeries((0.0, 0.0), n, dict(zip(keys, values)))
+            threshold = ZERO_RTOL * (1.0 + max_coeff(a))
+            # Each coefficient moves by up to 1.1 thresholds; the largest one
+            # moves along its own direction, which moves the maximum by as
+            # much as the coefficient moves.
+            moves = np.exp(2j * np.pi * rng.random(n)) * rng.uniform(0.0, 1.1, n)
+            top = int(np.argmax(np.abs(values)))
+            moves[top] = values[top] / abs(values[top]) * rng.choice([-1.0, 1.0]) * rng.uniform(0.9, 1.1)
+            b = TruncatedSeries((0.0, 0.0), n, dict(zip(keys, values + threshold * moves)))
+            yield a, b
+
+    def test_never_skips_a_close_pair(self):
+        rng = np.random.default_rng(41)
+        close = far = edge = 0
+        for a, b in self.pairs(rng):
+            ta, tb = max_coeff(a), max_coeff(b)
+            scale = 1.0 + max(ta, tb)
+            if series_close(a, b, scale=scale):
+                close += 1
+                assert not maxima_apart(ta, tb), (ta, tb)
+                edge += abs(ta - tb) > 0.9 * ZERO_RTOL * scale
+            else:
+                far += 1
+        # Both outcomes occur, and many close pairs have maxima nearly a
+        # whole threshold apart.
+        assert close > 1000 and far > 1000 and edge > 100
+
+    def test_skips_distinct_pairs(self):
+        assert maxima_apart(1.0, 1.0 + 1e-9)
+        assert not maxima_apart(1.0, 1.0 + 1e-12)
+        assert maxima_apart(0.0, 5e-12)
+        assert not maxima_apart(0.0, 1e-12)

@@ -288,6 +288,24 @@ class TestSchurComplement:
                 for c in e.coefficients.values()
             )
 
+    def test_many_variables_at_high_order(self):
+        # In 20 variables at order 8 the exponent codes outgrow int64.  With
+        # A = 1 + x0, B = x19, C = 1 and D = 0 the complement is
+        # -x19 / (1 + x0) = -sum_k (-x0)^k x19, truncated at degree 8.
+        n, order = 20, 8
+        zero = (0,) * n
+        x0, x19 = (tuple(int(i == k) for i in range(n)) for k in (0, n - 1))
+        entries = (
+            TruncatedSeries(zero, order, {zero: 1.0, x0: 1.0}),
+            TruncatedSeries(zero, order, {x19: 1.0}),
+            TruncatedSeries(zero, order, {zero: 1.0}),
+            TruncatedSeries(zero, order, {}),
+        )
+        schur = schur_complement(SeriesMatrix(2, 2, entries), [0], [0], order)
+        assert (schur.rows, schur.cols) == (1, 1)
+        want = {(k,) + (0,) * (n - 2) + (1,): -((-1.0) ** k) for k in range(order)}
+        assert schur.entry(0, 0).coefficients == want
+
     def test_singular_pivot_rejected(self):
         f = AnalyticSystem(2, (S(1, {(1, 0): 1.0}), S(1, {(0, 1): 1.0})), C2, 1.0)
         jac = jacobian(f)  # [[1,0],[0,1]]
