@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -157,12 +157,25 @@ def series_norm_a2(f: TruncatedSeries, ball: BallContext, backend: str) -> float
     return math.sqrt(_series_norm_slice_sq(f, ball))
 
 
-def norm_a2(f: AnalyticSystem, backend: str) -> float:
-    """System norm: equation norms added in quadrature."""
+def norm_a2(
+    f: AnalyticSystem, backend: str, known: Mapping[TruncatedSeries, float] | None = None
+) -> float:
+    """System norm: equation norms added in quadrature.
+
+    ``known`` maps equations of f, by object, to their ``series_norm_a2``.
+    The complex backend adds exactly those values, so it takes them instead
+    of computing them again; the appendix backend adds the squared norms
+    before any square root, which a rounded norm does not give back, so it
+    computes every one.
+    """
     _check_backend(backend)
     ball = BallContext.of(f)
     if backend == COMPLEX_EXACT:
-        return math.sqrt(sum(_series_norm_complex(eq, ball) ** 2 for eq in f.equations))
+        known = known or {}
+        return math.sqrt(sum(
+            (known[eq] if eq in known else _series_norm_complex(eq, ball)) ** 2
+            for eq in f.equations
+        ))
     return math.sqrt(sum(_series_norm_slice_sq(eq, ball) for eq in f.equations))
 
 

@@ -3,7 +3,7 @@
 Input file schema (``SystemFile``)::
 
     {
-      "vars": ["x", "y"],                  # variable names, defines n
+      "vars": ["x", "y"],                  # variable names, defines n >= 2
       "equations": [                        # one list of terms per equation
         [ [[re, im], [e1, ..., en]], ... ]  # term: coefficient + exponents
       ],
@@ -140,6 +140,11 @@ def parse_system(
             f"field 'norm_backend': expected 'complex' or 'appendix', got {backend_name!r}"
         )
     backend = _BACKEND_ALIASES[backend_name]
+    if n < 2:
+        raise ParseError(
+            f"field 'vars': expected at least 2 variables, got {n}; the smallness "
+            "threshold eta is defined for n >= 2"
+        )
 
     equations = []
     for i, terms in enumerate(equations_raw):

@@ -13,7 +13,9 @@ The pipeline, for a point x0 near a multiple root:
    decided bound first: eta(||f||) <= eta(0), so a value above eta(0) fails
    without a norm, and only the other values are tested against
    eta(||f||).  At x0 = the center a child's value is a linear coefficient
-   of its parent, so a child that fails the bound is never built.
+   of its parent, so a child that fails the bound is never built.  Each
+   distinct series is walked once per selection: a repeat of one already
+   walked takes its outcome.
 2. *Kerneling* splits the Jacobian along an invertible r x r pivot block,
    r the numerical rank at x0, and appends the Schur-complement entries to
    the pivot equations.  ``kernel_op`` reads only the system and the block's
@@ -30,8 +32,9 @@ immutable snapshots; traces are safe to share once built.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
@@ -223,11 +226,24 @@ def is_small(
 ) -> SmallnessGate:
     """Gate test: is the evaluation at x0 below the eta threshold?"""
     if isinstance(f, AnalyticSystem):
-        norm = norm_a2(f, backend)
-        value = _gate_value_norm(system_evaluate(f, x0), f.dim)
-    else:
-        norm = series_norm_a2(f, ball, backend)
-        value = abs(ts_evaluate(f, x0))
+        return _system_gate(f, system_evaluate(f, x0), ball, backend)
+    norm = series_norm_a2(f, ball, backend)
+    value = abs(ts_evaluate(f, x0))
+    eta = eta_threshold(norm, ball.dim, ball.radius)
+    return SmallnessGate(eta, value, value <= eta)
+
+
+def _system_gate(
+    f: AnalyticSystem,
+    values: np.ndarray,
+    ball: BallContext,
+    backend: str,
+    known: dict[TruncatedSeries, float] | None = None,
+) -> SmallnessGate:
+    """``is_small`` on a system whose values at x0 are ``values``, with the
+    equation norms ``known`` already (see ``norm_a2``)."""
+    norm = norm_a2(f, backend, known)
+    value = _gate_value_norm(values, f.dim)
     eta = eta_threshold(norm, ball.dim, ball.radius)
     return SmallnessGate(eta, value, value <= eta)
 
@@ -237,10 +253,16 @@ def _unit(n: int, i: int) -> tuple[int, ...]:
 
 
 def _select_walk(
-    f: AnalyticSystem, x0: tuple[complex, ...], ball: BallContext, backend: str
+    f: AnalyticSystem,
+    x0: tuple[complex, ...],
+    ball: BallContext,
+    backend: str,
+    norms: dict[TruncatedSeries, float],
 ) -> list[tuple[TruncatedSeries, SelectionRecord, float]]:
     """The retained (series, record, max_coeff) triples of S(f), in the order
     the depth-first walk over each equation and its derivatives retains them.
+    ``norms`` receives, by series, the norm of each passing series the walk
+    offers to retain.
 
     A node that fails its gate retains its parent (the equation itself at the
     root): ``walk`` returns whether the node failed, and a parent retains
@@ -248,9 +270,16 @@ def _select_walk(
     Work whose outcome is already decided is skipped; every decision is the
     one the full gate would take:
 
+    - A node whose order and coefficients (in stored order) equal those of a
+      node already walked, all of them finite, returns that node's result:
+      its gate and its children's gates are the same, and every series its
+      subtree would retain equals, coefficient for coefficient, one the first
+      walk retained or found retained, so ``retain`` rejects it.  A NaN or
+      an infinity makes ``series_close`` false, so such a node is walked.
     - A node fails whenever |value| > eta(0): R + ||f|| >= R rounds
       monotonically, so eta(||f||) <= eta(0).  Only the other nodes pay for a
       norm, and take ``is_small``'s decision with the value already computed.
+      At the center the value is the constant coefficient.
     - A pending series whose largest coefficient differs from a retained
       one's by more than the zero threshold allows cannot equal it
       (``maxima_apart``), so it is not compared coefficient by coefficient.
@@ -264,8 +293,10 @@ def _select_walk(
     _check_backend(backend)
     eta0 = eta_threshold(0.0, ball.dim, ball.radius)
     at_center = x0 == f.center
+    zero = (0,) * f.dim
     units = [_unit(f.dim, i) for i in range(f.dim)]
     retained: list[tuple[TruncatedSeries, SelectionRecord, float]] = []
+    walked: dict[tuple, bool] = {}
 
     def retain(series: TruncatedSeries, record: SelectionRecord, top: float) -> None:
         for kept, _, kept_top in retained:
@@ -277,12 +308,24 @@ def _select_walk(
         retained.append((series, record, top))
 
     def walk(eq: TruncatedSeries, record: SelectionRecord) -> bool:
+        key = (eq.order, tuple(eq.coefficients), tuple(eq.coefficients.values()))
+        failed = walked.get(key)
+        if failed is None:
+            failed = gate_and_descend(eq, record)
+            if math.isfinite(sum(map(abs, key[2]))):
+                walked[key] = failed
+        return failed
+
+    def gate_and_descend(eq: TruncatedSeries, record: SelectionRecord) -> bool:
         # is_small's gate, with the value computed once for both tests.
-        value = abs(ts_evaluate(eq, x0))
+        if at_center:
+            value = abs(eq.coefficients.get(zero, 0.0))
+        else:
+            value = abs(ts_evaluate(eq, x0))
         if value > eta0:
             return True
-        eta = eta_threshold(series_norm_a2(eq, ball, backend), ball.dim, ball.radius)
-        if not value <= eta:
+        norm = series_norm_a2(eq, ball, backend)
+        if not value <= eta_threshold(norm, ball.dim, ball.radius):
             return True
         if eq.order == 0:
             # A passer with nothing left to differentiate is numerically the
@@ -291,9 +334,9 @@ def _select_walk(
             return False
         top = max_coeff(eq)
         zero_floor = ZERO_RTOL * (1.0 + top)
-        live = {i for alpha in eq.coefficients for i, a in enumerate(alpha) if a}
+        live = [i for i, column in enumerate(zip(*eq.coefficients)) if any(column)]
         retained_self = False
-        for i in sorted(live):
+        for i in live:
             value = abs(eq.coefficients.get(units[i], 0.0))
             if at_center and value > eta0 and value > zero_floor:
                 failed = True
@@ -307,32 +350,44 @@ def _select_walk(
                 failed = walk(d, drec)
             if failed and not retained_self:
                 retain(eq, record, top)
+                norms[eq] = norm
                 retained_self = True
         return False
 
     for k, eq in enumerate(f.equations):
-        rec = SelectionRecord(k, (0,) * f.dim)
+        rec = SelectionRecord(k, zero)
         if walk(eq, rec):
             retain(eq, rec, max_coeff(eq))
     return retained
 
 
 def select_detailed(
-    f: AnalyticSystem, x0: Sequence[complex], backend: str
+    f: AnalyticSystem,
+    x0: Sequence[complex],
+    backend: str,
+    *,
+    norms: dict[TruncatedSeries, float] | None = None,
 ) -> tuple[AnalyticSystem, tuple[SelectionRecord, ...]]:
     """Selection operator S, recursive smallness-gated derivative replacement,
     with provenance records for each retained equation.
 
-    Each equation is walked depth first.  At a node the gate is decided in
-    this order: the value against eta(0), which fails the node on its own;
-    then, only if the value is at or below eta(0), ``is_small``'s gate with
-    the node's norm.  A passing node's nonzero partial derivatives are walked
-    in variable order; at x0 = the center, a child whose value (a linear
-    coefficient) already fails the bound is decided without building it.  A failing node retains its parent unless an equal
-    series is already retained.  See ``_select_walk``.
+    Each equation is walked depth first, and each distinct series once.  At a
+    node the gate is decided in this order: the value against eta(0), which
+    fails the node on its own; then, only if the value is at or below
+    eta(0), ``is_small``'s gate with the node's norm.  A passing node's
+    nonzero partial derivatives are walked in variable order; at x0 = the
+    center, a child whose value (a linear coefficient) already fails the
+    bound is decided without building it.  A failing node retains its parent
+    unless an equal series is already retained.  See ``_select_walk``.
+
+    ``norms``, when given, receives the ``series_norm_a2`` the walk computed
+    of each passing series it offered to retain, keyed by the series object;
+    the deflation rounds hand it to their gate (see ``norm_a2``).
     """
     ball = BallContext.of(f)
-    retained = _select_walk(f, tuple(complex(v) for v in x0), ball, backend)
+    retained = _select_walk(
+        f, tuple(complex(v) for v in x0), ball, backend, {} if norms is None else norms
+    )
     if not retained:
         raise TruncationExhaustedError(
             "selection retained no equations: every branch stayed under its "
@@ -403,6 +458,28 @@ def _pivot_residuals(
     return np.sqrt(acc)
 
 
+@functools.lru_cache(maxsize=64)
+def _subsets(m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The r-subsets of range(m) in lexicographic order, as tuples and as a
+    read-only array; built once per shape."""
+    sets = tuple(combinations(range(m), r))
+    chosen = np.array(sets, dtype=int).reshape(len(sets), r)
+    chosen.flags.writeable = False
+    return sets, chosen
+
+
+@functools.lru_cache(maxsize=64)
+def _complements(m: int, r: int) -> np.ndarray:
+    """Row i holds the complement of the i-th r-subset of ``_subsets(m, r)``,
+    in ascending order; read-only, built once per shape."""
+    _sets, chosen = _subsets(m, r)
+    keep = np.ones((len(chosen), m), dtype=bool)
+    keep[np.arange(len(chosen))[:, None], chosen] = False
+    others = np.nonzero(keep)[1].reshape(len(chosen), m - r)
+    others.flags.writeable = False
+    return others
+
+
 def _kerneling_pivots(
     j0: np.ndarray, values: np.ndarray, r: int
 ) -> tuple[tuple[int, ...], tuple[int, ...], float]:
@@ -421,10 +498,9 @@ def _kerneling_pivots(
         rows, cols = pivot_selection(j0, r)
         return rows, cols, float(np.linalg.svd(j0[np.ix_(rows, cols)], compute_uv=False)[-1])
     scale = float(np.linalg.norm(j0, 2))
-    row_sets = list(combinations(range(s), r))
-    col_sets = list(combinations(range(n), r))
+    row_sets, rows_a = _subsets(s, r)
+    col_sets, cols_a = _subsets(n, r)
     # Every candidate block at once: blocks[i, j] = j0[row_sets[i]][:, col_sets[j]].
-    rows_a, cols_a = np.array(row_sets), np.array(col_sets)
     blocks = j0[rows_a[:, None, :, None], cols_a[None, :, None, :]]
     smin = singular_values(blocks, scale)[..., -1]
     ii, jj = np.nonzero(smin != 0.0)
@@ -433,10 +509,8 @@ def _kerneling_pivots(
             f"no nonsingular {r}x{r} pivot block found (rank report disagrees "
             "with the matrix)"
         )
-    other_rows = np.array([[i for i in range(s) if i not in rs] for rs in row_sets], dtype=int)
-    other_cols = np.array([[j for j in range(n) if j not in cs] for cs in col_sets], dtype=int)
     residuals = _pivot_residuals(
-        j0, values, rows_a[ii], cols_a[jj], other_rows[ii], other_cols[jj]
+        j0, values, rows_a[ii], cols_a[jj], _complements(s, r)[ii], _complements(n, r)[jj]
     )
     candidates = [
         (float(k), col_sets[j], row_sets[i], float(smin[i, j]))
@@ -471,15 +545,15 @@ def kernel_op(
 
 
 def _extract_square_indexed(
-    f: AnalyticSystem, x0: Sequence[complex], j0: np.ndarray
+    f: AnalyticSystem, x0: Sequence[complex], j0: np.ndarray, values: np.ndarray
 ) -> tuple[AnalyticSystem, tuple[int, ...], RankReport]:
-    """Extraction given the Jacobian j0 of f at x0, already read as rank n."""
+    """Extraction given the Jacobian j0 of f at x0, already read as rank n,
+    and f's values at x0."""
     n = f.dim
     s = f.size
     if math.comb(s, n) <= _EXTRACT_BRUTE_LIMIT:
-        values = system_evaluate(f, x0)
         x0a = np.array([complex(t) for t in x0])
-        combos = np.array(list(combinations(range(s), n)))
+        _sets, combos = _subsets(s, n)
         sigmas = singular_values(j0[combos])
         full = full_rank_mask(sigmas)
         admitted, sigmas = combos[full], sigmas[full]
@@ -531,7 +605,7 @@ def extract_square(f: AnalyticSystem, x0: Sequence[complex]) -> AnalyticSystem:
             f"jacobian has numerical rank {overall.rank} < n = {f.dim}; no square "
             "system of full rank exists"
         )
-    square, _idx, _report = _extract_square_indexed(f, x0, j0)
+    square, _idx, _report = _extract_square_indexed(f, x0, j0, system_evaluate(f, x0))
     return square
 
 
@@ -544,63 +618,69 @@ def _run_rounds(
 ) -> DeflationTrace:
     """Shared loop behind deflation_sequence and truncated_deflation.
 
-    Each selection adds one step right after its gate; the round then fills
-    in that step's rank report, pivots and mu as it decides them.  The run
-    ends in the extracted square system or, at the first failed hypothesis,
-    with ``failure`` naming it, and the trace is built from the steps.
+    Each selection adds one step when its round ends, built once with the
+    round's gate and what the round decided before it ended: the rank
+    report, the pivots and mu.  The run ends in the extracted square system
+    or, at the first failed hypothesis, with ``failure`` naming it, and the
+    trace is built from the steps.
     ``truncation_orders``, when given, holds max_iters + 1 orders: one per
     selection the cap allows.
     """
     ball = BallContext.of(f)
     steps: list[DeflationStep] = []
     current, kind, k = f, "selection", 0
-    failure = None
+    failure = extraction = None
     try:
         while True:
-            current, records = select_detailed(current, x0, backend)
+            norms: dict[TruncatedSeries, float] = {}
+            current, records = select_detailed(current, x0, backend, norms=norms)
             if truncation_orders is not None:
                 current = current.with_equations(
                     ts_truncate(eq, min(eq.order, truncation_orders[k]))
                     for eq in current.equations
                 )
-            gate = is_small(current, x0, ball, backend)
-            steps.append(DeflationStep(kind, current, gate, None, None, None, records))
-            if not gate.passed:
-                failure = (
-                    f"hypothesis 1.1 failed at k={k}: ||F_k(x0)|| = "
-                    f"{gate.value_norm:.6g} > eta = {gate.eta:.6g}"
-                )
-                break
-            j0 = jacobian_at(current, x0)
-            report = numerical_rank(j0)
-            steps[-1] = replace(steps[-1], rank_report=report)
-            if report.rank == 0:
-                failure = (
-                    f"numerical rank 0 at k={k}: the rank test reads the "
-                    f"Jacobian at x0 as zero (sigma_max = {report.sigma[0]:.6g})"
-                )
-                break
-            if report.rank == current.dim:
-                square, chosen, square_report = _extract_square_indexed(current, x0, j0)
-                cols = tuple(range(current.dim))
-                steps[-1] = replace(
-                    steps[-1], pivot_rows=chosen, pivot_cols=cols,
-                    mu=1.0 / square_report.sigma[-1],
-                )
-                steps.append(DeflationStep("extraction", square, None, square_report, chosen, cols))
-                break
-            rows, cols, sigma_min = _kerneling_pivots(
-                j0, system_evaluate(current, x0), report.rank
-            )
-            steps[-1] = replace(steps[-1], pivot_rows=rows, pivot_cols=cols, mu=1.0 / sigma_min)
+            values = system_evaluate(current, x0)
+            gate = _system_gate(current, values, ball, backend, norms)
+            report = pivots = mu = None
+            try:
+                if not gate.passed:
+                    failure = (
+                        f"hypothesis 1.1 failed at k={k}: ||F_k(x0)|| = "
+                        f"{gate.value_norm:.6g} > eta = {gate.eta:.6g}"
+                    )
+                    break
+                j0 = jacobian_at(current, x0)
+                report = numerical_rank(j0)
+                if report.rank == 0:
+                    failure = (
+                        f"numerical rank 0 at k={k}: the rank test reads the "
+                        f"Jacobian at x0 as zero (sigma_max = {report.sigma[0]:.6g})"
+                    )
+                    break
+                if report.rank == current.dim:
+                    square, chosen, square_report = _extract_square_indexed(
+                        current, x0, j0, values
+                    )
+                    pivots = (chosen, tuple(range(current.dim)))
+                    mu = 1.0 / square_report.sigma[-1]
+                    extraction = DeflationStep("extraction", square, None, square_report, *pivots)
+                    break
+                rows, cols, sigma_min = _kerneling_pivots(j0, values, report.rank)
+                pivots, mu = (rows, cols), 1.0 / sigma_min
+            finally:
+                # The round's step, with what it decided before it ended.
+                steps.append(DeflationStep(
+                    kind, current, gate, report, *(pivots or (None, None)), records, mu
+                ))
             k += 1
             if k > max_iters:
                 failure = f"round cap at k={k}: deflation exceeded {max_iters} kerneling rounds"
                 break
-            current, kind = kernel_op(current, (rows, cols)), "kerneling"
+            current, kind = kernel_op(current, pivots), "kerneling"
     except HypothesisFailure as exc:
         failure = f"{type(exc).__name__} at k={k}: {exc}"
-    extraction = steps[-1] if failure is None else None
+    if extraction is not None:
+        steps.append(extraction)
     valuations = [
         max(rec.depth for rec in s.provenance) + 1 for s in steps if s.kind != "extraction"
     ]

@@ -253,59 +253,69 @@ def system_evaluate_many(f: "AnalyticSystem", points) -> np.ndarray:
 
 
 def _evaluate_padded(fs: Sequence[TruncatedSeries], points) -> np.ndarray:
-    """Values of each series of fs at each row of points, shape (len(fs), k).
+    """Values of each series of fs, which share one center, at each row of
+    points, shape (len(fs), k).
 
     The package's one evaluator away from a series' center.  Each term is its
     coefficient times dx_i^a for each variable in order (a zero exponent
     skipped), from power tables built by repeated multiplication from 1 + 0j,
     and the terms are summed one after another in stored order from 0 + 0j.
-    Every series' terms go into one array, padded at the end with zero terms,
-    so numpy is set up once for all of them; a padded term adds an exact
-    zero.  Complex products are formed from real and imaginary parts as
-    Python forms them, so a value does not depend on the batch it is computed
-    in: numpy's complex multiply moves the last bit with the batch size.
+    The offsets from the center and the power tables of all variables are
+    formed once, and pass j multiplies every term with more than j nonzero
+    exponents by the power of its j-th one.  Every series' terms go into one
+    array, padded at the end with zero terms, so numpy is set up once for all
+    of them; a padded term adds an exact zero.  Complex products are formed
+    from real and imaginary parts as Python forms them, so a value does not
+    depend on the batch it is computed in: numpy's complex multiply moves the
+    last bit with the batch size.
     """
     n = fs[0].dim
     points = np.asarray(points, dtype=complex)
     if points.ndim != 2 or points.shape[1] != n:
         raise StructuralError(f"points have shape {points.shape}, expected (k, {n})")
     k = points.shape[0]
-    width = max(len(f.coefficients) for f in fs)
-    out = np.zeros((len(fs), k), dtype=complex)
+    sizes = [len(f.coefficients) for f in fs]
+    width = max(sizes)
     if not width:
-        return out
-    exps = np.zeros((len(fs), width, n), dtype=int)
-    coeffs = np.zeros((len(fs), width), dtype=complex)
-    for s, f in enumerate(fs):
-        if f.coefficients:
-            exps[s, : len(f.coefficients)] = list(f.coefficients)
-            coeffs[s, : len(f.coefficients)] = list(f.coefficients.values())
-    centers = np.array([f.center for f in fs], dtype=complex)
-    dxr = points.real[None, :, :] - centers.real[:, None, :]
-    dxi = points.imag[None, :, :] - centers.imag[:, None, :]
-    # Each term's running product over the points: [series, term, point].
-    tr = np.repeat(coeffs.real[:, :, None], k, axis=2)
-    ti = np.repeat(coeffs.imag[:, :, None], k, axis=2)
-    for i, top in enumerate(exps.max(axis=(0, 1)).tolist()):
-        if not top:
-            continue
-        # powers[a] = dx_i^a, from 1 + 0j.
-        pr = np.empty((top + 1, len(fs), k))
-        pi = np.empty((top + 1, len(fs), k))
-        pr[0], pi[0] = 1.0, 0.0
-        for a in range(1, top + 1):
-            pr[a] = pr[a - 1] * dxr[:, :, i] - pi[a - 1] * dxi[:, :, i]
-            pi[a] = pr[a - 1] * dxi[:, :, i] + pi[a - 1] * dxr[:, :, i]
-        ss, terms = np.nonzero(exps[:, :, i])
-        e = exps[ss, terms, i]
-        qr, qi = pr[e, ss], pi[e, ss]
-        ar, ai = tr[ss, terms], ti[ss, terms]
-        tr[ss, terms] = ar * qr - ai * qi
-        ti[ss, terms] = ar * qi + ai * qr
+        return np.zeros((len(fs), k), dtype=complex)
+    # Term j of series s sits at row s * width + j.
+    rows = np.arange(sum(sizes)) + np.repeat(
+        np.arange(len(fs)) * width - np.cumsum([0, *sizes[:-1]]), sizes
+    )
+    exps = np.zeros((len(fs) * width, n), dtype=int)
+    coeffs = np.zeros(len(fs) * width, dtype=complex)
+    exps[rows] = [a for f in fs for a in f.coefficients]
+    coeffs[rows] = [c for f in fs for c in f.coefficients.values()]
+    center = np.array(fs[0].center, dtype=complex)
+    dxr = (points.real - center.real).T
+    dxi = (points.imag - center.imag).T
+    # powers[a, i] = dx_i^a over the points, from 1 + 0j.
+    top = int(exps.max())
+    pr = np.empty((top + 1, n, k))
+    pi = np.empty((top + 1, n, k))
+    pr[0], pi[0] = 1.0, 0.0
+    for a in range(1, top + 1):
+        pr[a] = pr[a - 1] * dxr - pi[a - 1] * dxi
+        pi[a] = pr[a - 1] * dxi + pi[a - 1] * dxr
+    # The nonzero exponents, term by term in variable order, and the place
+    # of each among its term's.
+    terms, var = np.nonzero(exps)
+    place = np.arange(len(terms)) - np.searchsorted(terms, terms)
+    # Each term's running product over the points: [term, point].
+    tr = np.repeat(coeffs.real[:, None], k, axis=1)
+    ti = np.repeat(coeffs.imag[:, None], k, axis=1)
+    for j in range(int(place.max(initial=-1)) + 1):
+        t, v = terms[place == j], var[place == j]
+        e = exps[t, v]
+        qr, qi = pr[e, v], pi[e, v]
+        ar, ai = tr[t], ti[t]
+        tr[t] = ar * qr - ai * qi
+        ti[t] = ar * qi + ai * qr
     # The running sum from 0 + 0j; accumulate starts from the first term,
     # which differs from it only in the sign of a zero, and + 0.0 clears that.
-    out.real = np.add.accumulate(tr, axis=1)[:, -1] + 0.0
-    out.imag = np.add.accumulate(ti, axis=1)[:, -1] + 0.0
+    out = np.empty((len(fs), k), dtype=complex)
+    out.real = np.add.accumulate(tr.reshape(len(fs), width, k), axis=1)[:, -1] + 0.0
+    out.imag = np.add.accumulate(ti.reshape(len(fs), width, k), axis=1)[:, -1] + 0.0
     return out
 
 
@@ -381,11 +391,11 @@ def series_close(
         return False
     if scale is None:
         scale = 1.0 + max(max_coeff(a), max_coeff(b))
-    keys = set(a.coefficients) | set(b.coefficients)
-    return all(
-        abs(a.coefficients.get(k, 0.0) - b.coefficients.get(k, 0.0))
-        <= ZERO_RTOL * scale
-        for k in keys
+    tol = ZERO_RTOL * scale
+    ac, bc = a.coefficients, b.coefficients
+    # An exponent stored in b alone differs from a's zero by |b's coefficient|.
+    return all(abs(c - bc.get(k, 0.0)) <= tol for k, c in ac.items()) and all(
+        abs(c) <= tol for k, c in bc.items() if k not in ac
     )
 
 

@@ -287,7 +287,8 @@ class TestExtraction:
                 f = f.with_equations(f.equations + f.equations[:1])
             x0 = tuple(0.1 * rng.standard_normal(n))
             j0 = jacobian(f).eval_at(x0)
-            _square, chosen, report = _extract_square_indexed(f, x0, j0)
+            values = system_evaluate(f, x0)
+            _square, chosen, report = _extract_square_indexed(f, x0, j0, values)
             assert (chosen, report) == reference_extraction(f, x0, j0)
 
     def test_benchmark_inputs(self, tmp_path):
@@ -306,7 +307,8 @@ class TestExtraction:
                     continue
                 f = trace.steps[-2].system
                 j0 = jacobian_at(f, x0)
-                _square, chosen, report = _extract_square_indexed(f, x0, j0)
+                values = system_evaluate(f, x0)
+                _square, chosen, report = _extract_square_indexed(f, x0, j0, values)
                 assert (chosen, report) == reference_extraction(f, x0, j0), path.stem
                 rounds += 1
         assert rounds >= len(paths)
@@ -356,6 +358,48 @@ class TestEvaluatePadded:
             got = system_evaluate_many(f, points)
             assert got.shape == (len(points), len(eqs))
             assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_terms_with_zero_to_n_nonzero_exponents(self, n):
+        """Many points; every term count from 1 to 12, and terms with every
+        number of nonzero exponents from 0 to n, in a shuffled stored order."""
+        rng = np.random.default_rng(40 + n)
+        center = tuple(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        eqs = []
+        for size in range(1, 13):
+            coeffs = {}
+            while len(coeffs) < size:
+                alpha = [0] * n
+                for i in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False):
+                    alpha[i] = int(rng.integers(1, 4))
+                coeffs[tuple(alpha)] = complex(*rng.standard_normal(2))
+            eqs.append(TruncatedSeries(center, 3 * n, coeffs))
+        nonzero = {sum(a > 0 for a in alpha) for eq in eqs for alpha in eq.coefficients}
+        assert nonzero == set(range(n + 1))
+        rng.shuffle(eqs)
+        f = AnalyticSystem(n, tuple(eqs), center, 10.0)
+        points = np.vstack([seeded_points(eqs[0], rng) for _ in range(4)])
+        want = [[reference_evaluate(eq, x) for eq in f.equations] for x in points]
+        assert np.array_equal(bits(system_evaluate_many(f, points)), bits(want))
+
+    def test_far_points_overflow(self):
+        """Offsets of 1e60 to 1e160, and one real offset of 1e200: powers and
+        products overflow to inf, and inf times zero or the sum of opposite
+        infinities gives NaN, as in Python's arithmetic."""
+        rng = np.random.default_rng(44)
+        center = (0.5, -0.25j, 1.0)
+        eqs = [random_polynomial(rng, n=3, degree=d, center=center) for d in (2, 3, 4)]
+        eqs.append(TruncatedSeries(center, 5, {(5, 0, 0): 1.0, (0, 2, 3): -2.0j, (0, 0, 0): 1.0}))
+        f = AnalyticSystem(3, tuple(eqs), center, 1.0)
+        points = np.array(center) + 10.0 ** rng.uniform(60, 160, (12, 1)) * (
+            rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+        )
+        points = np.vstack([points, np.array(center) + [1e200, 0.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = system_evaluate_many(f, points)
+        want = [[reference_evaluate(eq, x) for eq in f.equations] for x in points]
+        assert np.isinf(got).any() and np.isnan(got).any() and np.isfinite(got).any()
+        assert np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("f", family_systems(), ids=lambda f: f"n{f.dim}")
     def test_family_systems(self, f):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -221,6 +222,32 @@ class TestDeflatedGammaBound:
             ]
             assert all(a >= b for a, b in zip(radii, radii[1:]))
 
+    @pytest.mark.parametrize(
+        "gamma0,ell,kap,p,nu_zeta,n,first_term_smaller",
+        [
+            # 1/(p + 1) = 0.25 against ~3.3.
+            (0.01, 0, 1.0, 3, 0.1, 3, True),
+            # 1/(p + 1) = 1/3 against ~2.9e-4.
+            (2.5, 1, 3.0, 2, 0.1, 3, False),
+            (0.7, 2, 1.5, 1, 0.3, 5, False),
+        ],
+    )
+    def test_radius_against_exact_rationals(
+        self, gamma0, ell, kap, p, nu_zeta, n, first_term_smaller
+    ):
+        """u/kappa with u = min(1/(p+1), x / (6 g (4 kappa^p (1 + g) + x))),
+        g = ell + gamma0 and x = (1 - nu^2)^((n+1)/2), evaluated exactly
+        from the same float arguments (odd n, so the power is an integer)."""
+        g = ell + Fraction(gamma0)
+        k, nz = Fraction(kap), Fraction(nu_zeta)
+        x = (1 - nz * nz) ** ((n + 1) // 2)
+        first = Fraction(1, p + 1)
+        second = x / (6 * g * (4 * k**p * (1 + g) + x))
+        assert (first < second) == first_term_smaller
+        want = min(first, second) / k
+        got = deflated_radius_formula(gamma0, ell, kap, p, nu_zeta, n)
+        assert got == pytest.approx(float(want), rel=1e-14)
+
 
 class TestSingularAlphaCertificate:
     def test_worked_example(self, gy2):
@@ -278,6 +305,20 @@ class TestRankStabilityRadius:
         f = exact_selected_f0()
         with pytest.raises(DomainError):
             rank_stability_radius(f, C2, 2 - math.sqrt(2), COMPLEX_EXACT)
+
+    def test_epsilon_from_half_sigma_r_rejected(self):
+        # Df = diag(0.5, 2): sigma_r = 0.5, so the cap is sigma_r/2 = 0.25,
+        # below both sigma_r and 2 - sqrt 2.
+        f = AnalyticSystem(
+            2,
+            (TruncatedSeries(C2, 1, {(1, 0): 0.5}), TruncatedSeries(C2, 1, {(0, 1): 2.0})),
+            C2,
+            1.0,
+        )
+        assert rank_stability_radius(f, C2, math.nextafter(0.25, 0.0), COMPLEX_EXACT) > 0
+        for eps in (0.25, 0.4, math.nextafter(0.5, 0.0)):
+            with pytest.raises(DomainError, match="sigma_r/2"):
+                rank_stability_radius(f, C2, eps, COMPLEX_EXACT)
 
     def test_worked_example_sample_and_check(self):
         f = exact_selected_f0()

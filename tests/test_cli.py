@@ -186,6 +186,29 @@ class TestMalformedNumbers:
         assert err.startswith("deflate: parse error: field ")
 
 
+ONE_VARIABLE = {"vars": ["x"], "equations": [[[1.0, [2]]]], "point": [0.001], "radius": 1.0}
+
+
+class TestOneVariable:
+    """The threshold eta needs n >= 2, so a SystemFile with one variable is
+    a parse error (exit 1) for every command, not an internal error."""
+
+    @pytest.mark.parametrize("command", ["deflate", "solve", "certify", "rank"])
+    def test_parse_error(self, capsys, tmp_path, command):
+        path = write_json(tmp_path, "one.json", ONE_VARIABLE)
+        code, out, err = run_cli(capsys, command, "--input", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("deflate: parse error: field 'vars': expected at least 2")
+        assert "n >= 2" in err
+
+    def test_rank_matrix_with_one_column(self, capsys, tmp_path):
+        path = write_json(tmp_path, "col.json", {"matrix": [[2.0], [0.0]]})
+        code, out, _err = run_cli(capsys, "rank", "--input", path)
+        assert code == 0
+        assert json.loads(out)["rank"] == 1
+
+
 class TestRankCommand:
     def test_gy2_selected_jacobian(self, capsys):
         code, out, _ = run_cli(capsys, "rank", "--input", GY2)

@@ -603,8 +603,8 @@ class TestOneStepPerSelection:
 
         selections = []
 
-        def counted(f, x0, backend):
-            result = select_detailed(f, x0, backend)
+        def counted(f, x0, backend, **kwargs):
+            result = select_detailed(f, x0, backend, **kwargs)
             selections.append(result)
             return result
 

@@ -1,4 +1,5 @@
-"""Smoke run of the identity script ``tests/identity.py``."""
+"""Smoke runs of the identity script ``tests/identity.py`` and the A/B
+timing script ``tests/abtime.py``."""
 
 import ast
 import json
@@ -67,3 +68,20 @@ def test_diff_names_the_changed_decisions(one_point_per_family, tmp_path):
     assert [c.split(":")[0] for c in changes] == ["steps[0].pivots", "steps[1].gate", "iterates"]
     assert changes[-1] == f"iterates: {len(trajectory)} -> 1"
     assert sum(text == "identical" for text in lines.values()) == len(records) - 2
+
+
+def test_abtime_against_this_checkout():
+    """One input per family, this checkout against itself."""
+    proc = subprocess.run(
+        [sys.executable, "tests/abtime.py", ".", "--count", "1", "--reps", "1"],
+        cwd=REPO, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, columns, *rows = proc.stdout.splitlines()
+    assert header == "families-complex, seed 802: 8 inputs x 1 reps"
+    assert columns.split() == ["op", "this_ms", "other_ms", "ratio", "per-rep", "ratios"]
+    assert [row.split()[0] for row in rows] == ["total", "deflate", "solve", "certify"]
+    for row in rows:
+        this_ms, other_ms, ratio, rep = map(float, row.split()[1:])
+        assert this_ms > 0 and other_ms > 0 and ratio == rep
+        assert ratio == pytest.approx(this_ms / other_ms, rel=1e-2)

@@ -76,7 +76,9 @@ def reference_walk(eq, record, pending, x0, ball, backend, retained):
         reference_walk(d, drec, (eq, record, parent_scale), x0, ball, backend, retained)
 
 
-def reference_select(f, x0, backend):
+def reference_select(f, x0, backend, *, norms=None):
+    """Selection by the plain walk; it records no norms, so a caller's
+    ``norms`` stays empty."""
     ball = BallContext.of(f)
     retained = []
     for k, eq in enumerate(f.equations):
@@ -172,6 +174,141 @@ class TestAgainstReference:
         doubled = f.with_equations(f.equations + f.equations)
         _eqs, records = assert_same_selection(doubled, x0, opts["backend"])
         assert all(rec.source < f.size for rec in records)
+
+
+def gated_series(f, x0, backend, monkeypatch):
+    """The series the walk gates, in order, at a point x0 off f's center,
+    where every gated node's value is read through ``ts_evaluate``."""
+    seen = []
+    evaluate = deflation.ts_evaluate
+
+    def recording(series, x):
+        seen.append(series)
+        return evaluate(series, x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(deflation, "ts_evaluate", recording)
+        try:
+            select_detailed(f, x0, backend)
+        except TruncationExhaustedError:
+            pass
+    return seen
+
+
+def reference_nodes(f, x0, backend, monkeypatch):
+    """The series ``reference_select`` gates, in order."""
+    seen = []
+    gate = is_small
+
+    def recording(series, x, ball, backend):
+        seen.append(series)
+        return gate(series, x, ball, backend)
+
+    with monkeypatch.context() as patch:
+        patch.setitem(reference_walk.__globals__, "is_small", recording)
+        try:
+            reference_select(f, x0, backend)
+        except TruncationExhaustedError:
+            pass
+    return seen
+
+
+def key(series):
+    return series.order, tuple(series.coefficients), raw(series)[3]
+
+
+def copy(series, reverse=False):
+    """An equal series in a new object; ``reverse`` stores its terms in the
+    opposite order, which the walk must not take for the same series."""
+    items = list(series.coefficients.items())
+    return TruncatedSeries(series.center, series.order, dict(items[::-1] if reverse else items))
+
+
+class TestRepeatedSeries:
+    """The walk decides each distinct finite series once per selection and
+    reuses the outcome for every repeat; the selection must stay the plain
+    walk's, bit for bit."""
+
+    def test_planted_duplicates(self, family_systems, monkeypatch):
+        rng = np.random.default_rng(31)
+        offsets = 0
+        for f, x0, opts in family_systems:
+            eqs = f.equations
+            planted = f.with_equations(
+                eqs[:1] + tuple(map(copy, eqs)) + eqs[1:] + tuple(copy(e, True) for e in eqs[::-1])
+            )
+            backend = opts["backend"]
+            for f_ in (planted, first_kerneled(planted, x0, backend)):
+                if f_ is None:
+                    continue
+                assert_same_selection(f_, x0, backend)
+                step = 1e-6 * (rng.standard_normal(f.dim) + 1j * rng.standard_normal(f.dim))
+                point = tuple(np.array(x0) + step)
+                assert_same_selection(f_, point, backend)
+                gated = [key(s) for s in gated_series(f_, point, backend, monkeypatch)]
+                assert len(gated) == len(set(gated))
+                offsets += 1
+        assert offsets >= 48
+
+    @pytest.mark.parametrize("backend", [COMPLEX_EXACT, APPENDIX_SLICE])
+    def test_coinciding_mixed_partials(self, backend, monkeypatch):
+        # Dyadic coefficients keep every derivative exact, so d/dx d/dy and
+        # d/dy d/dx of each monomial agree bit for bit.
+        rng = np.random.default_rng(37)
+        repeats = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            center = tuple(rng.integers(-4, 5, n) / 8.0)
+            equations = []
+            for _ in range(int(rng.integers(1, 4))):
+                coeffs = {}
+                for _ in range(int(rng.integers(1, 5))):
+                    alpha = [0] * n
+                    for _ in range(int(rng.integers(2, 6))):
+                        alpha[int(rng.integers(n))] += 1
+                    coeffs[tuple(alpha)] = complex(*rng.integers(-8, 9, 2)) / 4.0
+                equations.append(TruncatedSeries(center, 5, coeffs))
+            f = AnalyticSystem(n, tuple(equations), center, 1.0)
+            assert_same_selection(f, center, backend)
+            point = tuple(np.array(center) + 1e-9 * (1 + 1j))
+            assert_same_selection(f, point, backend)
+            gated = [key(s) for s in gated_series(f, point, backend, monkeypatch)]
+            assert len(gated) == len(set(gated))
+            repeats += len(gated) < len(reference_nodes(f, point, backend, monkeypatch))
+        assert repeats >= 20
+
+    @pytest.mark.parametrize("backend", [COMPLEX_EXACT, APPENDIX_SLICE])
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            {(0, 0): 1.0, (1, 1): math.nan},          # fails on its value
+            {(1, 0): 1e-3, (2, 0): math.nan},         # fails on a NaN norm
+            {(0, 0): math.inf, (1, 0): 1.0},          # fails on an infinite value
+        ],
+        ids=["nan-value", "nan-norm", "inf"],
+    )
+    def test_non_finite_duplicate_is_not_merged(self, backend, coeffs):
+        # series_close is false on a NaN or an infinity, so the plain walk
+        # retains each copy of such an equation: the walk must walk both.
+        c = (0.0, 0.0)
+        eq = TruncatedSeries(c, 3, coeffs)
+        other = TruncatedSeries(c, 3, {(1, 0): 1.0, (0, 1): 1.0})
+        f = AnalyticSystem(2, (eq, other, copy(eq)), c, 1.0)
+        with np.errstate(invalid="ignore"):
+            _eqs, records = assert_same_selection(f, c, backend)
+        assert {0, 2} <= {rec.source for rec in records}
+
+    def test_kss6_kerneled_gates_each_distinct_equation_once(self, family_systems, monkeypatch):
+        f, x0, opts = next(s for s in family_systems if s[0].dim == 6)
+        kerneled = first_kerneled(f, x0, opts["backend"])
+        assert kerneled.size == 26
+        distinct = {key(eq) for eq in kerneled.equations}
+        assert len(distinct) == 7
+        point = tuple(np.array(x0) + 1e-9)
+        gated = gated_series(kerneled, point, opts["backend"], monkeypatch)
+        top_level = [s for s in gated if any(s is eq for eq in kerneled.equations)]
+        assert len(top_level) == 7
+        assert_same_selection(kerneled, point, opts["backend"])
 
 
 def random_edge_system(rng, backend):
