@@ -31,7 +31,6 @@ from .certificates import (
 )
 from .deflation import (
     ALPHA0,
-    C0,
     DeflationStep,
     DeflationTrace,
     SmallnessGate,
@@ -60,16 +59,11 @@ from .errors import (
 from .rank import RankReport, elementary_symmetric, numerical_rank, rank_quantities, singular_values
 from .series import (
     AnalyticSystem,
-    SeriesMatrix,
     TruncatedSeries,
-    jacobian,
     jacobian_at,
-    schur_complement,
     system_evaluate,
-    ts_add,
     ts_derivative,
     ts_evaluate,
-    ts_mul,
     ts_recenter,
     ts_truncate,
 )

@@ -23,7 +23,8 @@ Commands: ``rank``, ``deflate``, ``solve``, ``certify``.  Output is JSON on
 stdout (compact by default, ``--pretty`` for indented), byte-identical
 across runs on the same input.  Exit codes: 0 success or report, 1 usage or
 parse error, 2 a failed deflation hypothesis, 3 internal numerical error
-(unreachable on well-posed input).  ``deflate`` exits 2 with its trace, whose
+(unreachable on well-posed input) or an overflow of finite input beyond
+double precision.  ``deflate`` exits 2 with its trace, whose
 ``failure`` names the hypothesis; ``rank`` exits 2 with ``{"failure": ...}``
 in the same wording when the selection fails; ``certify`` exits 0 and lists
 it in ``notes``; ``solve`` stops at the point where a hypothesis fails and
@@ -408,6 +409,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except MultirootError as exc:
         sys.stderr.write(f"deflate: internal numerical error: {exc}\n")
+        return 3
+    except OverflowError as exc:
+        # Finite input whose numbers outgrow double precision on the way.
+        sys.stderr.write(f"deflate: numerical overflow: {exc}\n")
         return 3
 
 

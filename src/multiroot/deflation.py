@@ -56,12 +56,12 @@ from .rank import (
     rounding_floor,
     singular_values,
 )
+from .schur import jacobian_schur
 from .series import (
     ZERO_RTOL,
     AnalyticSystem,
     TruncatedSeries,
     is_zero_series,
-    _jacobian_schur,
     jacobian_at,
     max_coeff,
     maxima_apart,
@@ -76,7 +76,6 @@ from .series import (
 
 __all__ = [
     "ALPHA0",
-    "C0",
     "SmallnessGate",
     "SelectionRecord",
     "DeflationStep",
@@ -102,7 +101,6 @@ def _first_positive_root_alpha0() -> float:
 
 
 ALPHA0 = _first_positive_root_alpha0()
-C0 = float(sum(0.5 ** (2**k - 1) for k in range(8)))
 
 _STAGNATION_RTOL = 1e-15
 # Caps on the candidates of the exhaustive pivot-block and extraction
@@ -540,7 +538,7 @@ def kernel_op(
         raise DomainError("kerneling requires rank < n (nothing to eliminate)")
     order = max(f.min_order() - 1, 0)
     equations = [ts_truncate(f.equations[i], order) for i in row_idx]
-    equations.extend(_jacobian_schur(f, row_idx, col_idx, order))
+    equations.extend(jacobian_schur(f, row_idx, col_idx, order))
     return f.with_equations(equations)
 
 

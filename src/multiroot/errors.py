@@ -2,12 +2,13 @@
 
 A deflation run never raises a ``HypothesisFailure``: it names the failure in
 its trace's ``failure`` and stops.  The public helpers it calls
-(``select_detailed``, ``pivot_selection``, ``schur_complement``,
+(``select_detailed``, ``pivot_selection``, ``kernel_op``,
 ``extract_square``) still raise one when called directly.  Malformed input
 (``StructuralError``, ``DomainError``, ``ParseError``) always raises.
 
 The CLI exits 2 on a failed hypothesis (``deflate`` names it in ``failure``)
-and 3 on any other ``MultirootError``, which well-posed input does not reach.
+and 3 on any other ``MultirootError``, which well-posed input does not reach,
+or on an ``OverflowError`` from finite input too large for double precision.
 """
 
 

@@ -1,4 +1,4 @@
-"""The Schur complement of a matrix of truncated series, on coefficient arrays.
+"""The Schur complement of a system's Jacobian, on coefficient arrays.
 
 Kerneling needs D - C A^{-1} B for a pivot block A of a Jacobian whose
 entries are truncated series.  Here the coefficients of every entry live in
@@ -13,21 +13,24 @@ sorted exponents, and a table says where each a + b sits.
 Everything except the coefficient values (the exponents, the positions and
 the product tables) depends only on where the nonzero coefficients are, so a
 ``SchurLayout`` is built once for each such pattern; ``jacobian_layout``
-keeps the ones of recent Jacobians.  ``series.schur_complement`` and
-``deflation.kernel_op`` are the callers.
+keeps the ones of recent Jacobians.  ``jacobian_schur`` reads a system's
+coefficients into this format and writes the complement back as series;
+``deflation.kernel_op`` is its caller.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import Sequence
 
 import numpy as np
 
 from .errors import SingularPivotError, StructuralError
 from .rank import singular_values
+from .series import AnalyticSystem, TruncatedSeries
 
-__all__ = ["SchurLayout", "jacobian_layout"]
+__all__ = ["SchurLayout", "jacobian_layout", "jacobian_schur"]
 
 
 class _PairTable:
@@ -78,7 +81,9 @@ class SchurLayout:
         self.order = order
         other_rows = [i for i in range(rows) if i not in row_idx]
         other_cols = [j for j in range(cols) if j not in col_idx]
-        self.empty = (len(other_rows), len(other_cols)) if not other_rows or not other_cols else None
+        # The pivot may take every row (s == r); kerneling keeps r < n, so it
+        # never takes every column.
+        self.empty = (0, len(other_cols)) if not other_rows else None
         if self.empty:
             return
         ii, jj, exps = pattern[:, 0], pattern[:, 1], pattern[:, 2:]
@@ -139,8 +144,8 @@ class SchurLayout:
     def solve(self, values) -> tuple[list[tuple[int, ...]], np.ndarray]:
         """``monos`` and the coefficients (M, rows - r, cols - r) of
         D - C A^{-1} B, truncated at ``order``, for the values of the
-        pattern's terms; a single zero exponent when the pivot exhausts the
-        rows or the columns."""
+        pattern's terms; a single zero exponent when the pivot takes every
+        row."""
         if self.empty:
             return [()], np.zeros((1, *self.empty), dtype=complex)
         coeffs = np.zeros(self.size, dtype=complex)
@@ -177,3 +182,19 @@ def jacobian_layout(
     mult = exps[src, j]
     src.flags.writeable = mult.flags.writeable = False
     return src, mult, SchurLayout(n, len(exponents), n, row_idx, col_idx, order, pattern)
+
+
+def jacobian_schur(
+    f: AnalyticSystem, row_idx: Sequence[int], col_idx: Sequence[int], order: int
+) -> list[TruncatedSeries]:
+    """The entries of D - C A^{-1} B, row-major and truncated at ``order``,
+    for the pivot block A = J[row_idx, col_idx] of f's Jacobian J, read from
+    f's coefficients without building the Jacobian."""
+    exponents = tuple(tuple(eq.coefficients) for eq in f.equations)
+    src, mult, layout = jacobian_layout(exponents, f.dim, order, tuple(row_idx), tuple(col_idx))
+    values = np.array([c for eq in f.equations for c in eq.coefficients.values()], dtype=complex)
+    monos, schur = layout.solve(mult * values[src])
+    return [
+        TruncatedSeries._of(f.center, order, {a: c for a, c in zip(monos, column) if c})
+        for column in schur.reshape(len(monos), -1).T.tolist()
+    ]

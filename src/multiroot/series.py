@@ -4,8 +4,8 @@ Every system handled by this package is represented as a tuple of
 :class:`TruncatedSeries`: finitely many Taylor coefficients around a common
 center, indexed by exponent vectors.  A series of order ``p`` stores all
 coefficients of total degree ``<= p``; absent exponents are zero.  All
-operations are pure functions returning new values, so series, matrices and
-systems are safe to share between threads.
+operations are pure functions returning new values, so series and systems
+are safe to share between threads.
 
 Coefficients live in complex double precision; real data embeds with zero
 imaginary parts.  Iteration over stored terms is always in graded
@@ -23,16 +23,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import StructuralError
-from .schur import SchurLayout, jacobian_layout
 
 __all__ = [
     "TruncatedSeries",
-    "SeriesMatrix",
     "AnalyticSystem",
-    "ts_add",
-    "ts_sub",
-    "ts_scale",
-    "ts_mul",
     "ts_derivative",
     "ts_evaluate",
     "ts_recenter",
@@ -41,9 +35,7 @@ __all__ = [
     "is_zero_series",
     "series_close",
     "maxima_apart",
-    "jacobian",
     "jacobian_at",
-    "schur_complement",
     "system_evaluate",
     "system_evaluate_many",
     "recenter_system",
@@ -139,67 +131,10 @@ class TruncatedSeries:
     def constant(self) -> complex:
         return self.coefficients.get((0,) * self.dim, 0.0)
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return ts_sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return ts_mul(self, other)
-        return ts_scale(self, other)
-
-    def __rmul__(self, other):
-        return ts_scale(self, other)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         terms = ", ".join(f"{a}:{c:.6g}" for a, c in itertools.islice(self.items(), 6))
         more = "..." if len(self.coefficients) > 6 else ""
         return f"TruncatedSeries(order={self.order}, {{{terms}{more}}})"
-
-
-def _check_same_frame(a: TruncatedSeries, b: TruncatedSeries) -> None:
-    if a.dim != b.dim:
-        raise StructuralError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.center != b.center:
-        raise StructuralError(f"center mismatch: {a.center} vs {b.center}")
-
-
-def ts_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Coefficient-wise sum, truncated to min(a.order, b.order)."""
-    _check_same_frame(a, b)
-    order = min(a.order, b.order)
-    coeffs: dict[Exponent, complex] = {}
-    for alpha, c in itertools.chain(a.coefficients.items(), b.coefficients.items()):
-        if sum(alpha) <= order:
-            coeffs[alpha] = coeffs.get(alpha, 0.0) + c
-    return TruncatedSeries._of(a.center, order, coeffs)
-
-
-def ts_sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return ts_add(a, ts_scale(b, -1.0))
-
-
-def ts_scale(a: TruncatedSeries, c: complex) -> TruncatedSeries:
-    c = complex(c)
-    return TruncatedSeries._of(
-        a.center, a.order, {alpha: v * c for alpha, v in a.coefficients.items()}
-    )
-
-
-def ts_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product; terms of total degree > min(a.order, b.order) discarded."""
-    _check_same_frame(a, b)
-    order = min(a.order, b.order)
-    coeffs: dict[Exponent, complex] = {}
-    for alpha, ca in a.coefficients.items():
-        da = sum(alpha)
-        if da > order:
-            continue
-        for beta, cb in b.coefficients.items():
-            if da + sum(beta) > order:
-                continue
-            gamma = tuple(i + j for i, j in zip(alpha, beta))
-            coeffs[gamma] = coeffs.get(gamma, 0.0) + ca * cb
-    return TruncatedSeries._of(a.center, order, coeffs)
 
 
 def ts_truncate(f: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -367,30 +302,23 @@ def max_coeff(f: TruncatedSeries) -> float:
     return max((abs(c) for c in f.coefficients.values()), default=0.0)
 
 
-def is_zero_series(f: TruncatedSeries, ref_magnitude: float | None = None) -> bool:
+def is_zero_series(f: TruncatedSeries, ref_magnitude: float) -> bool:
     """Numerically-zero test with a relative threshold.
 
     ``ref_magnitude`` supplies the magnitude scale of the computation that
-    produced ``f`` (e.g. the parent series in a selection step); it defaults
-    to f's own largest coefficient.
+    produced ``f`` (e.g. the parent series in a selection step).
     """
-    m = max_coeff(f)
-    ref = m if ref_magnitude is None else ref_magnitude
-    return m <= ZERO_RTOL * (1.0 + ref)
+    return max_coeff(f) <= ZERO_RTOL * (1.0 + ref_magnitude)
 
 
-def series_close(
-    a: TruncatedSeries, b: TruncatedSeries, *, scale: float | None = None
-) -> bool:
+def series_close(a: TruncatedSeries, b: TruncatedSeries, *, scale: float) -> bool:
     """Coefficient-wise equality up to the package zero threshold.
 
-    ``scale`` is 1 + max(max_coeff(a), max_coeff(b)); a caller that already
-    holds both maxima may pass it.
+    ``scale`` is 1 + max(max_coeff(a), max_coeff(b)), which the caller
+    already holds.
     """
     if a.dim != b.dim or a.center != b.center:
         return False
-    if scale is None:
-        scale = 1.0 + max(max_coeff(a), max_coeff(b))
     tol = ZERO_RTOL * scale
     ac, bc = a.coefficients, b.coefficients
     # An exponent stored in b alone differs from a's zero by |b's coefficient|.
@@ -404,92 +332,6 @@ def maxima_apart(top_a: float, top_b: float) -> bool:
     ``series_close``: | ||a|| - ||b|| | <= ||a - b|| in the max norm, and the
     factor 2 on the threshold covers the rounding of the two maxima."""
     return abs(top_a - top_b) > 2.0 * ZERO_RTOL * (1.0 + max(top_a, top_b))
-
-
-@dataclass(frozen=True)
-class SeriesMatrix:
-    """A rows x cols matrix of series sharing one center.
-
-    Entries are stored row-major.  Orders may differ between entries (a
-    Jacobian of mixed-order equations).
-    """
-
-    rows: int
-    cols: int
-    entries: tuple[TruncatedSeries, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise StructuralError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise StructuralError(
-                f"{len(self.entries)} entries for {self.rows}x{self.cols} matrix"
-            )
-        centers = {e.center for e in self.entries}
-        if len(centers) > 1:
-            raise StructuralError("matrix entries disagree on center")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[TruncatedSeries]]) -> "SeriesMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise StructuralError("ragged matrix rows")
-        return SeriesMatrix(r, c, tuple(itertools.chain.from_iterable(rows)))
-
-    def entry(self, i: int, j: int) -> TruncatedSeries:
-        return self.entries[i * self.cols + j]
-
-    def eval_at(self, x: Sequence[complex]) -> np.ndarray:
-        return np.array(_values_at(self.entries, x), dtype=complex).reshape(self.rows, self.cols)
-
-    def min_order(self) -> int:
-        return min((e.order for e in self.entries), default=0)
-
-
-def _series_of(
-    center: Point, order: int, monos: list[Exponent], coeffs: np.ndarray
-) -> list[TruncatedSeries]:
-    """The series of a coefficient array (M, rows, cols), row-major."""
-    return [
-        TruncatedSeries._of(center, order, {a: c for a, c in zip(monos, column) if c})
-        for column in coeffs.reshape(len(monos), -1).T.tolist()
-    ]
-
-
-def schur_complement(
-    m: SeriesMatrix,
-    row_idx: Sequence[int],
-    col_idx: Sequence[int],
-    order: int,
-) -> SeriesMatrix:
-    """D - C A^{-1} B for the pivot block A = m[row_idx, col_idx].
-
-    Each column x = A^{-1} b of A^{-1} B is the fixed point of
-    x <- A0^{-1} (b - N x), where A0 is A's constant block and N is A with
-    its constant terms dropped.  N has no constant term, so each pass fixes
-    one more degree, and ``order + 1`` passes from x = b are exact at
-    ``order``.  Everything is truncated at ``order``.  Returns the
-    (rows-r) x (cols-r) matrix over the complementary rows and columns, which
-    is empty when the pivot exhausts the rows or the columns.
-    """
-    terms = [
-        (i, j, *a)
-        for i in range(m.rows)
-        for j in range(m.cols)
-        for a in m.entry(i, j).coefficients
-        if sum(a) <= order
-    ]
-    n = m.entries[0].dim if m.entries else 0
-    layout = SchurLayout(
-        n, m.rows, m.cols, row_idx, col_idx, order, np.array(terms, dtype=int).reshape(-1, n + 2)
-    )
-    monos, schur = layout.solve(
-        [c for e in m.entries for a, c in e.coefficients.items() if sum(a) <= order]
-    )
-    rows, cols = schur.shape[1:]
-    center = m.entries[0].center if m.entries else ()
-    return SeriesMatrix(rows, cols, tuple(_series_of(center, order, monos, schur)))
 
 
 @dataclass(frozen=True)
@@ -551,14 +393,9 @@ def recenter_system(f: AnalyticSystem, new_center: Sequence[complex]) -> Analyti
     return AnalyticSystem(f.dim, eqs, new_center, f.ball_radius)
 
 
-def jacobian(f: AnalyticSystem) -> SeriesMatrix:
-    """The s x n matrix of partial-derivative series."""
-    rows = [[ts_derivative(eq, j) for j in range(f.dim)] for eq in f.equations]
-    return SeriesMatrix.from_rows(rows)
-
-
 def jacobian_at(f: AnalyticSystem, x: Sequence[complex]) -> np.ndarray:
-    """The s x n Jacobian of f at x, ``jacobian(f).eval_at(x)``.
+    """The s x n Jacobian of f at x: entry (i, j) is the value at x of
+    ``ts_derivative(f.equations[i], j)``.
 
     At f's center that is the matrix of linear coefficients: the constant
     term of d eq / d x_j is 1 times eq's coefficient of e_j, so for finite
@@ -566,21 +403,9 @@ def jacobian_at(f: AnalyticSystem, x: Sequence[complex]) -> np.ndarray:
     """
     x = _as_point(x)
     if x != f.center:
-        return jacobian(f).eval_at(x)
+        entries = [ts_derivative(eq, j) for eq in f.equations for j in range(f.dim)]
+        return np.array(_values_at(entries, x), dtype=complex).reshape(f.size, f.dim)
     units = [tuple(int(k == j) for k in range(f.dim)) for j in range(f.dim)]
     return np.array(
         [[eq.coefficients.get(u, 0.0) for u in units] for eq in f.equations], dtype=complex
     )
-
-
-def _jacobian_schur(
-    f: AnalyticSystem, row_idx: Sequence[int], col_idx: Sequence[int], order: int
-) -> list[TruncatedSeries]:
-    """The entries of ``schur_complement(jacobian(f), row_idx, col_idx,
-    order)``, row-major, read from f's coefficients without building the
-    Jacobian."""
-    exponents = tuple(tuple(eq.coefficients) for eq in f.equations)
-    src, mult, layout = jacobian_layout(exponents, f.dim, order, tuple(row_idx), tuple(col_idx))
-    values = np.array([c for eq in f.equations for c in eq.coefficients.values()], dtype=complex)
-    monos, schur = layout.solve(mult * values[src])
-    return _series_of(f.center, order, monos, schur)

@@ -137,6 +137,23 @@ def ojika1(d):
     return recentered(OJIKA1, x0), x0
 
 
+def scaled(f: TruncatedSeries, c: float) -> TruncatedSeries:
+    """The series c f."""
+    return TruncatedSeries(f.center, f.order, {a: c * v for a, v in f.coefficients.items()})
+
+
+def linear_system(m) -> AnalyticSystem:
+    """f_i = sum_j m_ij x_j for an s x n matrix m, stored at order 2 (so the
+    kerneling operator keeps order 1), on the unit ball around 0."""
+    s, n = m.shape
+    zero = (0,) * n
+    unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    equations = tuple(
+        TruncatedSeries(zero, 2, {unit[j]: m[i, j] for j in range(n)}) for i in range(s)
+    )
+    return AnalyticSystem(n, equations, zero, 1.0)
+
+
 def random_polynomial(rng, n=2, degree=3, center=None, order=None, real=False):
     center = center or (0.0,) * n
     coeffs = {}

@@ -22,14 +22,11 @@ from multiroot.certificates import (
     point_quantities,
     rank_stability_radius,
 )
-from multiroot.deflation import newton_iterate, pivot_selection, truncated_deflation
+from multiroot.deflation import kernel_op, newton_iterate, pivot_selection, truncated_deflation
 from multiroot.rank import numerical_rank, singular_values
 from multiroot.series import (
     AnalyticSystem,
-    SeriesMatrix,
-    TruncatedSeries,
-    jacobian,
-    schur_complement,
+    jacobian_at,
     system_evaluate,
     ts_derivative,
     ts_evaluate,
@@ -41,6 +38,7 @@ from conftest import (
     SELECTED_GOLDEN,
     assert_system_multiset,
     interior_point,
+    linear_system,
     monte_carlo_norm_complex,
     random_polynomial,
 )
@@ -65,8 +63,8 @@ def approx(got, want, rtol):
 
 def test_criterion_1_numerical_rank_goldens(gy2_trace):
     trace, point, _backend = gy2_trace
-    df0 = jacobian(trace.steps[0].system).eval_at(point)
-    df1 = jacobian(trace.steps[1].system).eval_at(point)
+    df0 = jacobian_at(trace.steps[0].system, point)
+    df1 = jacobian_at(trace.steps[1].system, point)
     start = time.perf_counter()
     r0 = numerical_rank(df0)
     r1 = numerical_rank(df1)
@@ -223,8 +221,7 @@ def test_criterion_7b_derivative_bound_domination():
         eqs = tuple(random_polynomial(rng, 2, 3) for _ in range(2))
         f = AnalyticSystem(2, eqs, C2, 1.0)
         x = interior_point(rng, max_nu=0.8)
-        jac = jacobian(f)
-        exact1 = np.linalg.svd(jac.eval_at(x), compute_uv=False)[0]
+        exact1 = np.linalg.svd(jacobian_at(f, x), compute_uv=False)[0]
         if exact1 > derivative_bound(f, x, 1, COMPLEX_EXACT) * (1 + 1e-12):
             bad += 1
         hess = [
@@ -267,15 +264,10 @@ def test_criterion_7d_schur_of_rank_r_is_zero():
             rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
         )
         rows, cols = pivot_selection(m, r)
-        entries = tuple(
-            TruncatedSeries((0.0,) * n, 1, {(0,) * n: m[i, j]})
-            for i in range(s)
-            for j in range(n)
-        )
-        schur = schur_complement(SeriesMatrix(s, n, entries), rows, cols, 1)
+        schur = kernel_op(linear_system(m), (rows, cols)).equations[r:]
         scale = float(np.abs(m).max())
         resid = max(
-            (abs(c) for e in schur.entries for c in e.coefficients.values()),
+            (abs(c) for e in schur for c in e.coefficients.values()),
             default=0.0,
         )
         worst = max(worst, resid / scale)
@@ -291,8 +283,7 @@ def test_criterion_7e_rank_stability_sampling():
     checked = 0
     while checked < 20:
         f = random_regular_system(rng, quad_scale=0.3)
-        jac = jacobian(f)
-        sv = singular_values(jac.eval_at(C2))
+        sv = singular_values(jacobian_at(f, C2))
         if sv[-1] < 0.3:
             continue
         checked += 1
@@ -302,7 +293,7 @@ def test_criterion_7e_rank_stability_sampling():
             g = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             g /= np.linalg.norm(g)
             x = tuple(radius * rng.random() ** 0.25 * g)
-            sx = singular_values(jac.eval_at(x))
+            sx = singular_values(jacobian_at(f, x))
             if sum(1 for sigma in sx if sigma > eps) != 2:
                 failures += 1
     report(
@@ -317,12 +308,11 @@ def test_criterion_7f_gamma_theorem_envelope():
     for _ in range(20):
         f = random_regular_system(rng)
         radius = gamma_radius(f, C2, COMPLEX_EXACT)
-        jac = jacobian(f)
         ang = rng.random() * 2 * math.pi
         x = (np.array([math.cos(ang), math.sin(ang)]) * 0.9 * radius).astype(complex)
         e0 = np.linalg.norm(x)
         for k in range(1, 6):
-            x = x - np.linalg.solve(jac.eval_at(tuple(x)), system_evaluate(f, tuple(x)))
+            x = x - np.linalg.solve(jacobian_at(f, tuple(x)), system_evaluate(f, tuple(x)))
             if np.linalg.norm(x) > 0.5 ** (2**k - 1) * e0 * (1 + 1e-9) + 1e-15:
                 failures += 1
                 break

@@ -440,6 +440,34 @@ class TestExitCodes:
         assert exc.value.code == 1
 
 
+class TestOverflow:
+    """Finite input whose arithmetic outgrows double precision is a numerical
+    error (exit 3, one line on stderr), never a traceback."""
+
+    def assert_overflow(self, capsys, tmp_path, payload, commands):
+        path = write_json(tmp_path, "huge.json", payload)
+        for command in commands:
+            code, out, err = run_cli(capsys, command, "--input", path)
+            assert (code, out) == (3, ""), command
+            assert err.startswith("deflate: numerical overflow: ")
+            assert err.count("\n") == 1
+
+    def test_huge_coefficient(self, capsys, tmp_path):
+        payload = _gy2_first_term(coefficient=[1e308, 0.0])
+        payload["norm_backend"] = "complex"
+        self.assert_overflow(capsys, tmp_path, payload, ["deflate", "solve", "certify"])
+
+    def test_huge_point(self, capsys, tmp_path):
+        payload = _gy2_with(point=[[1e300, 0.0], [0.0006, 0.0]])
+        self.assert_overflow(
+            capsys, tmp_path, payload, ["rank", "deflate", "solve", "certify"]
+        )
+
+    def test_huge_radius(self, capsys, tmp_path):
+        payload = _gy2_with(radius=1e300, norm_backend="complex")
+        self.assert_overflow(capsys, tmp_path, payload, ["deflate", "solve", "certify"])
+
+
 class TestCountFlags:
     """Counts out of range are usage errors (exit 1), caught by the parser."""
 

@@ -11,7 +11,6 @@ from multiroot.deflation import (
     _PIVOT_BRUTE_LIMIT,
     _kerneling_pivots,
     ALPHA0,
-    C0,
     deflation_sequence,
     eta_threshold,
     extract_square,
@@ -33,7 +32,6 @@ from multiroot.rank import numerical_rank, singular_values
 from multiroot.series import (
     AnalyticSystem,
     TruncatedSeries,
-    jacobian,
     jacobian_at,
     recenter_system,
     system_evaluate,
@@ -104,9 +102,6 @@ class TestConstants:
         u = ALPHA0
         assert abs((1 - 4 * u + 2 * u**2) ** 2 - 2 * u) < 1e-12
         assert u == pytest.approx(0.1307169444, abs=1e-10)
-
-    def test_c0_series_value(self):
-        assert C0 == pytest.approx(1.6328430180437862874, rel=1e-15)
 
 
 class TestEtaThreshold:
@@ -199,7 +194,7 @@ class TestPivotSelection:
 
     def test_worked_example_magnitude(self, gy2_selected):
         selected, _r, point, _b = gy2_selected
-        j0 = jacobian(selected).eval_at(point)
+        j0 = jacobian_at(selected, point)
         rows, cols = pivot_selection(j0, 1)
         assert abs(j0[rows[0], cols[0]]) == pytest.approx(2.0012, rel=1e-3)
 
@@ -236,7 +231,7 @@ class TestKernelOp:
     def test_exact_case_vanishes_at_center(self, gy2_exact):
         system, point, backend = gy2_exact
         selected, _records = select_detailed(system, point, backend)
-        report = numerical_rank(jacobian(selected).eval_at(point))
+        report = numerical_rank(jacobian_at(selected, point))
         assert report.rank == 1
         kerneled = kernel_op(selected, ((0,), (0,)))
         values = system_evaluate(kerneled, point)
@@ -244,10 +239,18 @@ class TestKernelOp:
 
     def test_full_rank_rejected(self):
         f, point = regular_system()
-        report = numerical_rank(jacobian(f).eval_at(point))
+        report = numerical_rank(jacobian_at(f, point))
         assert report.rank == 2
         with pytest.raises(DomainError):
             kernel_op(f, ((0, 1), (0, 1)))
+
+    def test_pivot_taking_every_row_keeps_only_it(self):
+        # s == r: x + y^2 alone, pivot (0, 0); the complement has no rows.
+        eq = TruncatedSeries(C2, 3, {(1, 0): 1.0, (0, 2): 1.0})
+        kerneled = kernel_op(AnalyticSystem(2, (eq,), C2, 1.0), ((0,), (0,)))
+        [pivot_row] = kerneled.equations
+        assert pivot_row.order == 2
+        assert pivot_row.coefficients == eq.coefficients
 
 
 def assert_failed_round_step(trace, rank):
@@ -360,7 +363,7 @@ class TestExtractSquare:
         kerneled = trace.steps[1].system
         square = extract_square(kerneled, point)
         assert_system_multiset(square, DEFLATED_GOLDEN)
-        assert numerical_rank(jacobian(square).eval_at(point)).rank == 2
+        assert numerical_rank(jacobian_at(square, point)).rank == 2
 
     def test_square_system_returned_as_is(self):
         f, point = regular_system()
@@ -376,7 +379,7 @@ class TestExtractSquare:
         )
         f = AnalyticSystem(2, eqs, C2, 1.0)
         square = extract_square(f, C2)
-        grads = jacobian(square).eval_at(C2)
+        grads = jacobian_at(square, C2)
         assert np.linalg.matrix_rank(grads) == 2
 
     def test_rank_deficient_rejected(self):
@@ -402,7 +405,7 @@ class TestExtractSquare:
         assert math.comb(f.size, 2) > _EXTRACT_BRUTE_LIMIT
         square = extract_square(f, C2)
         assert square.size == 2
-        assert numerical_rank(jacobian(square).eval_at(C2)).full_rank
+        assert numerical_rank(jacobian_at(square, C2)).full_rank
 
 
 def griewank_osborne(x0):
@@ -531,7 +534,7 @@ class TestTruncatedDeflation:
         for trace in (full, trunc):
             assert trace.deflated is not None
         def step(trace):
-            j0 = jacobian(trace.deflated).eval_at(point)
+            j0 = jacobian_at(trace.deflated, point)
             v = system_evaluate(trace.deflated, point)
             return np.array([complex(t) for t in point]) - np.linalg.solve(j0, v)
         a, b = step(full), step(trunc)

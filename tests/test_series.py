@@ -1,22 +1,18 @@
 import numpy as np
 import pytest
 
+from multiroot.deflation import kernel_op, pivot_selection
 from multiroot.errors import SingularPivotError, StructuralError
 from multiroot.series import (
     AnalyticSystem,
-    SeriesMatrix,
     TruncatedSeries,
-    jacobian,
-    schur_complement,
-    ts_add,
+    jacobian_at,
     ts_derivative,
     ts_evaluate,
-    ts_mul,
     ts_recenter,
-    ts_truncate,
 )
 
-from conftest import random_polynomial
+from conftest import linear_system, random_polynomial
 
 C2 = (0.0, 0.0)
 
@@ -28,77 +24,6 @@ def S(order, coeffs, center=C2):
 # The two equations of the worked example.
 F1_COEFFS = {(3, 0): 1 / 3, (1, 2): 1.0, (2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0}
 F2_COEFFS = {(2, 1): 1.0, (1, 2): -1.0, (2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0}
-
-
-class TestAdd:
-    def test_linearity(self):
-        a = S(1, {(0, 0): 1.0, (1, 0): 1.0})
-        b = S(1, {(0, 0): 2.0, (0, 1): 1.0})
-        out = ts_add(a, b)
-        assert out.coefficients == {(0, 0): 3.0, (1, 0): 1.0, (0, 1): 1.0}
-
-    def test_identity(self):
-        f = S(2, {(1, 1): 2.5, (0, 0): -1.0})
-        zero = S(2, {})
-        assert ts_add(f, zero).coefficients == f.coefficients
-
-    def test_cancellation(self):
-        f = S(2, {(2, 0): 1.0})
-        out = ts_add(f, S(2, {(2, 0): -1.0}))
-        assert out.coefficients == {}
-
-    def test_order_is_min(self):
-        out = ts_add(S(3, {(3, 0): 1.0}), S(1, {(1, 0): 1.0}))
-        assert out.order == 1
-        assert (3, 0) not in out.coefficients
-
-    def test_center_mismatch(self):
-        with pytest.raises(StructuralError):
-            ts_add(S(1, {}), S(1, {}, center=(1.0, 0.0)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(StructuralError):
-            ts_add(S(1, {}), TruncatedSeries((0.0,), 1, {}))
-
-
-class TestMul:
-    def test_one_minus_x_squared(self):
-        a = ts_truncate(S(1, {(0, 0): 1.0, (1, 0): 1.0}), 2)
-        b = ts_truncate(S(1, {(0, 0): 1.0, (1, 0): -1.0}), 2)
-        assert ts_mul(a, b).coefficients == {(0, 0): 1.0, (2, 0): -1.0}
-
-    def test_truncation_kills_xy(self):
-        x = S(1, {(1, 0): 1.0})
-        y = S(1, {(0, 1): 1.0})
-        assert ts_mul(x, y).coefficients == {}
-
-    def test_square_of_sum(self):
-        f = ts_truncate(S(1, {(1, 0): 1.0, (0, 1): 1.0}), 2)
-        out = ts_mul(f, f)
-        assert out.coefficients == {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0}
-
-
-class TestRingAxioms:
-    def test_axioms_on_random_series(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            a = random_polynomial(rng, 2, 3)
-            b = random_polynomial(rng, 2, 3)
-            c = random_polynomial(rng, 2, 3)
-            scale = 1.0 + max(
-                max(abs(v) for v in s.coefficients.values()) for s in (a, b, c)
-            ) ** 3
-            for lhs, rhs in [
-                (ts_mul(ts_mul(a, b), c), ts_mul(a, ts_mul(b, c))),
-                (ts_mul(a, b), ts_mul(b, a)),
-                (ts_mul(a, ts_add(b, c)), ts_add(ts_mul(a, b), ts_mul(a, c))),
-                (ts_add(a, b), ts_add(b, a)),
-            ]:
-                keys = set(lhs.coefficients) | set(rhs.coefficients)
-                err = max(
-                    abs(lhs.coefficient(k) - rhs.coefficient(k)) for k in keys
-                )
-                assert err <= 1e-12 * scale
 
 
 class TestDerivative:
@@ -135,10 +60,7 @@ class TestEvaluate:
         assert ts_evaluate(f, C2) == 2.5
 
     def test_square_of_sum_at_ones(self):
-        f = ts_mul(
-            ts_truncate(S(1, {(1, 0): 1.0, (0, 1): 1.0}), 2),
-            ts_truncate(S(1, {(1, 0): 1.0, (0, 1): 1.0}), 2),
-        )
+        f = S(2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0})
         assert ts_evaluate(f, (1.0, 1.0)) == pytest.approx(4.0)
 
 
@@ -185,17 +107,6 @@ class TestRecenter:
 
 
 class TestJacobian:
-    def test_worked_example(self):
-        f = AnalyticSystem(2, (S(3, F1_COEFFS), S(3, F2_COEFFS)), C2, 1.0)
-        jac = jacobian(f)
-        assert (jac.rows, jac.cols) == (2, 2)
-        assert jac.entry(0, 0).coefficients == {
-            (2, 0): 1.0,
-            (0, 2): 1.0,
-            (1, 0): 2.0,
-            (0, 1): 2.0,
-        }
-
     def test_linear_system_constant_matrix(self):
         f = AnalyticSystem(
             2,
@@ -203,7 +114,7 @@ class TestJacobian:
             C2,
             1.0,
         )
-        j = jacobian(f).eval_at((0.3, -0.2))
+        j = jacobian_at(f, (0.3, -0.2))
         assert np.allclose(j, np.array([[2.0, -1.0], [0.0, 3.0]]))
 
     def test_against_central_differences(self):
@@ -216,7 +127,7 @@ class TestJacobian:
         )
         x = (0.21, -0.13)
         h = 1e-7
-        jac = jacobian(f).eval_at(x)
+        jac = jacobian_at(f, x)
         for i, eq in enumerate(f.equations):
             for j in range(2):
                 e = np.zeros(2)
@@ -229,14 +140,17 @@ class TestJacobian:
 
 
 class TestSchurComplement:
+    """The Schur complement that the kerneling operator K appends."""
+
     def exact_f0(self):
+        # Stored at order 3, so K keeps the order-2 complement.
         return AnalyticSystem(
             2,
             (
-                S(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): 2.0, (0, 1): 2.0}),
-                S(2, {(1, 1): 2.0, (1, 0): 2.0, (0, 1): 2.0}),
-                S(2, {(1, 1): 2.0, (0, 2): -1.0, (1, 0): 2.0, (0, 1): 2.0}),
-                S(2, {(2, 0): 1.0, (1, 1): -2.0, (1, 0): 2.0, (0, 1): 2.0}),
+                S(3, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): 2.0, (0, 1): 2.0}),
+                S(3, {(1, 1): 2.0, (1, 0): 2.0, (0, 1): 2.0}),
+                S(3, {(1, 1): 2.0, (0, 2): -1.0, (1, 0): 2.0, (0, 1): 2.0}),
+                S(3, {(2, 0): 1.0, (1, 1): -2.0, (1, 0): 2.0, (0, 1): 2.0}),
             ),
             C2,
             1.0,
@@ -245,72 +159,70 @@ class TestSchurComplement:
     def test_worked_example_order2(self):
         # Degree-2 expansions of (2/(x+1)) * (2x-2y+x^2-y^2, 2x-3y+x^2-xy-y^2,
         # -x-x^2-xy+y^2), the displayed Schur complement of the example.
-        jac = jacobian(self.exact_f0())
-        schur = schur_complement(jac, [0], [0], order=2)
+        schur = kernel_op(self.exact_f0(), ((0,), (0,))).equations[1:]
         expected = [
             {(1, 0): 4.0, (0, 1): -4.0, (2, 0): -2.0, (1, 1): 4.0, (0, 2): -2.0},
             {(1, 0): 4.0, (0, 1): -6.0, (2, 0): -2.0, (1, 1): 4.0, (0, 2): -2.0},
             {(1, 0): -2.0, (1, 1): -2.0, (0, 2): 2.0},
         ]
-        assert (schur.rows, schur.cols) == (3, 1)
-        for entry, exp in zip(schur.entries, expected):
+        assert len(schur) == 3
+        for entry, exp in zip(schur, expected):
+            assert entry.order == 2
             keys = set(entry.coefficients) | set(exp)
             assert all(
                 abs(entry.coefficient(k) - exp.get(k, 0.0)) <= 1e-12 for k in keys
             )
 
-    def test_full_size_pivot_is_empty(self):
-        f = AnalyticSystem(2, (S(1, {(1, 0): 1.0}), S(1, {(0, 1): 1.0})), C2, 1.0)
-        schur = schur_complement(jacobian(f), [0, 1], [0, 1], order=1)
-        assert (schur.rows, schur.cols) == (0, 0)
-
     def test_rank_r_constant_matrix_gives_zero(self):
+        # f_i = sum_j m_ij x_j has the constant Jacobian m of rank r.
         rng = np.random.default_rng(31)
         for s, n, r in [(4, 3, 1), (5, 4, 2), (6, 5, 3)]:
             m = (rng.standard_normal((s, r)) + 1j * rng.standard_normal((s, r))) @ (
                 rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
             )
-            entries = tuple(
-                TruncatedSeries((0.0,) * n, 1, {(0,) * n: m[i, j]})
-                for i in range(s)
-                for j in range(n)
-            )
-            mat = SeriesMatrix(s, n, entries)
-            # pick a nonsingular pivot block from the factorization structure
-            from multiroot.deflation import pivot_selection
-
+            f = linear_system(m)
             rows, cols = pivot_selection(m, r)
-            schur = schur_complement(mat, rows, cols, order=1)
+            schur = kernel_op(f, (rows, cols)).equations[r:]
+            assert len(schur) == (s - r) * (n - r)
             scale = np.abs(m).max()
             assert all(
                 abs(c) <= 1e-12 * scale
-                for e in schur.entries
+                for e in schur
                 for c in e.coefficients.values()
             )
 
     def test_many_variables_at_high_order(self):
         # In 20 variables at order 8 the exponent codes outgrow int64.  With
-        # A = 1 + x0, B = x19, C = 1 and D = 0 the complement is
-        # -x19 / (1 + x0) = -sum_k (-x0)^k x19, truncated at degree 8.
+        # f1 = x0 + x0^2/2 + x1 x19 and f2 = x0 the pivot is A = 1 + x0, and
+        # the complement is -x19 / (1 + x0) = -sum_k (-x0)^k x19 in column 1
+        # and -x1 / (1 + x0) in column 19, truncated at degree 8.
         n, order = 20, 8
         zero = (0,) * n
-        x0, x19 = (tuple(int(i == k) for i in range(n)) for k in (0, n - 1))
-        entries = (
-            TruncatedSeries(zero, order, {zero: 1.0, x0: 1.0}),
-            TruncatedSeries(zero, order, {x19: 1.0}),
-            TruncatedSeries(zero, order, {zero: 1.0}),
-            TruncatedSeries(zero, order, {}),
+        unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        x0x0 = (2,) + (0,) * (n - 1)
+        x1x19 = tuple(int(i in (1, n - 1)) for i in range(n))
+        f = AnalyticSystem(
+            n,
+            (
+                TruncatedSeries(zero, order + 1, {unit[0]: 1.0, x0x0: 0.5, x1x19: 1.0}),
+                TruncatedSeries(zero, order + 1, {unit[0]: 1.0}),
+            ),
+            zero,
+            1.0,
         )
-        schur = schur_complement(SeriesMatrix(2, 2, entries), [0], [0], order)
-        assert (schur.rows, schur.cols) == (1, 1)
-        want = {(k,) + (0,) * (n - 2) + (1,): -((-1.0) ** k) for k in range(order)}
-        assert schur.entry(0, 0).coefficients == want
+        schur = kernel_op(f, ((0,), (0,))).equations[1:]
+        assert len(schur) == n - 1
+        want_1 = {(k,) + (0,) * (n - 2) + (1,): -((-1.0) ** k) for k in range(order)}
+        want_19 = {(k, 1) + (0,) * (n - 2): -((-1.0) ** k) for k in range(order)}
+        assert schur[0].coefficients == want_1
+        assert schur[-1].coefficients == want_19
+        assert all(not e.coefficients for e in schur[1:-1])
 
     def test_singular_pivot_rejected(self):
         f = AnalyticSystem(2, (S(1, {(1, 0): 1.0}), S(1, {(0, 1): 1.0})), C2, 1.0)
-        jac = jacobian(f)  # [[1,0],[0,1]]
+        # The Jacobian is [[1, 0], [0, 1]]: the pivot entry (0, 1) is 0.
         with pytest.raises(SingularPivotError):
-            schur_complement(jac, [0], [1], order=1)  # pivot entry is 0
+            kernel_op(f, ((0,), (1,)))
 
 
 class TestAnalyticSystem:
