@@ -25,6 +25,10 @@ polynomial.
 
 Certificates default to ``complex_exact``; the golden values in the test
 suite pin ``appendix_slice``.
+
+A series' norm for a ball and a backend is computed once and kept with the
+series, so a series must not be changed after construction.  Finite input
+whose norm exceeds double precision raises ``OverflowError`` on both backends.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -143,40 +147,42 @@ def _series_norm_slice_sq(f: TruncatedSeries, ball: BallContext) -> float:
     if not f.coefficients:
         return 0.0
     n = ball.dim
-    moments = _slice_moments(tuple(f.coefficients), n, ball.radius)
     coeffs = np.array(list(f.coefficients.values()), dtype=complex)
-    total = (coeffs @ moments @ coeffs.conj()).real
-    return math.factorial(n) / math.pi**n * float(total)
+    # numpy's overflow is a warning; it is raised below as Python's is.
+    with np.errstate(all="ignore"):
+        moments = _slice_moments(tuple(f.coefficients), n, ball.radius)
+        total = (coeffs @ moments @ coeffs.conj()).real
+    value = math.factorial(n) / math.pi**n * float(total)
+    if not math.isfinite(value) and np.isfinite(coeffs).all() and math.isfinite(ball.radius):
+        raise OverflowError("the appendix_slice norm exceeds double precision")
+    return value
+
+
+def _norm_pair(f: TruncatedSeries, ball: BallContext, backend: str) -> tuple[float, float]:
+    """(``series_norm_a2``, the term ``norm_a2`` adds for f): the complex norm
+    and its square, or the slice norm and its unrounded square."""
+    key = (ball.omega, ball.radius, _check_backend(backend))
+    memo = f._norm  # read once: another thread may replace it
+    if memo is None or memo[0] != key:
+        if backend == COMPLEX_EXACT:
+            norm = _series_norm_complex(f, ball)
+            pair = (norm, norm**2)
+        else:
+            square = _series_norm_slice_sq(f, ball)
+            pair = (math.sqrt(square), square)
+        memo = f._norm = (key, pair)
+    return memo[1]
 
 
 def series_norm_a2(f: TruncatedSeries, ball: BallContext, backend: str) -> float:
     """A^2 norm of a single equation over the ball."""
-    _check_backend(backend)
-    if backend == COMPLEX_EXACT:
-        return _series_norm_complex(f, ball)
-    return math.sqrt(_series_norm_slice_sq(f, ball))
+    return _norm_pair(f, ball, backend)[0]
 
 
-def norm_a2(
-    f: AnalyticSystem, backend: str, known: Mapping[TruncatedSeries, float] | None = None
-) -> float:
-    """System norm: equation norms added in quadrature.
-
-    ``known`` maps equations of f, by object, to their ``series_norm_a2``.
-    The complex backend adds exactly those values, so it takes them instead
-    of computing them again; the appendix backend adds the squared norms
-    before any square root, which a rounded norm does not give back, so it
-    computes every one.
-    """
-    _check_backend(backend)
+def norm_a2(f: AnalyticSystem, backend: str) -> float:
+    """System norm: equation norms added in quadrature."""
     ball = BallContext.of(f)
-    if backend == COMPLEX_EXACT:
-        known = known or {}
-        return math.sqrt(sum(
-            (known[eq] if eq in known else _series_norm_complex(eq, ball)) ** 2
-            for eq in f.equations
-        ))
-    return math.sqrt(sum(_series_norm_slice_sq(eq, ball) for eq in f.equations))
+    return math.sqrt(sum(_norm_pair(eq, ball, backend)[1] for eq in f.equations))
 
 
 def lambda_bound(f: AnalyticSystem, x: Sequence[complex], backend: str) -> float:

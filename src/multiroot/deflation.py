@@ -93,14 +93,10 @@ __all__ = [
 ]
 
 
-def _first_positive_root_alpha0() -> float:
-    # (1 - 4u + 2u^2)^2 - 2u expands to 4u^4 - 16u^3 + 20u^2 - 10u + 1.
-    roots = np.roots([4.0, -16.0, 20.0, -10.0, 1.0])
-    real = sorted(r.real for r in roots if abs(r.imag) < 1e-10 and r.real > 0)
-    return float(real[0])
-
-
-ALPHA0 = _first_positive_root_alpha0()
+# The smallest positive root of (1 - 4u + 2u^2)^2 - 2u, which expands to
+# 4u^4 - 16u^3 + 20u^2 - 10u + 1.  The double lies between 2 and 3 ulps below
+# the root, on the conservative side: a smaller alpha0 gives a smaller eta.
+ALPHA0 = 0.130716944352002
 
 _STAGNATION_RTOL = 1e-15
 # Caps on the candidates of the exhaustive pivot-block and extraction
@@ -236,11 +232,9 @@ def _system_gate(
     values: np.ndarray,
     ball: BallContext,
     backend: str,
-    known: dict[TruncatedSeries, float] | None = None,
 ) -> SmallnessGate:
-    """``is_small`` on a system whose values at x0 are ``values``, with the
-    equation norms ``known`` already (see ``norm_a2``)."""
-    norm = norm_a2(f, backend, known)
+    """``is_small`` on a system whose values at x0 are ``values``."""
+    norm = norm_a2(f, backend)
     value = _gate_value_norm(values, f.dim)
     eta = eta_threshold(norm, ball.dim, ball.radius)
     return SmallnessGate(eta, value, value <= eta)
@@ -255,12 +249,9 @@ def _select_walk(
     x0: tuple[complex, ...],
     ball: BallContext,
     backend: str,
-    norms: dict[TruncatedSeries, float],
 ) -> list[tuple[TruncatedSeries, SelectionRecord, float]]:
     """The retained (series, record, max_coeff) triples of S(f), in the order
     the depth-first walk over each equation and its derivatives retains them.
-    ``norms`` receives, by series, the norm of each passing series the walk
-    offers to retain.
 
     A node that fails its gate retains its parent (the equation itself at the
     root): ``walk`` returns whether the node failed, and a parent retains
@@ -322,8 +313,7 @@ def _select_walk(
             value = abs(ts_evaluate(eq, x0))
         if value > eta0:
             return True
-        norm = series_norm_a2(eq, ball, backend)
-        if not value <= eta_threshold(norm, ball.dim, ball.radius):
+        if not value <= eta_threshold(series_norm_a2(eq, ball, backend), ball.dim, ball.radius):
             return True
         if eq.order == 0:
             # A passer with nothing left to differentiate is numerically the
@@ -348,7 +338,6 @@ def _select_walk(
                 failed = walk(d, drec)
             if failed and not retained_self:
                 retain(eq, record, top)
-                norms[eq] = norm
                 retained_self = True
         return False
 
@@ -363,8 +352,6 @@ def select_detailed(
     f: AnalyticSystem,
     x0: Sequence[complex],
     backend: str,
-    *,
-    norms: dict[TruncatedSeries, float] | None = None,
 ) -> tuple[AnalyticSystem, tuple[SelectionRecord, ...]]:
     """Selection operator S, recursive smallness-gated derivative replacement,
     with provenance records for each retained equation.
@@ -377,15 +364,9 @@ def select_detailed(
     center, a child whose value (a linear coefficient) already fails the
     bound is decided without building it.  A failing node retains its parent
     unless an equal series is already retained.  See ``_select_walk``.
-
-    ``norms``, when given, receives the ``series_norm_a2`` the walk computed
-    of each passing series it offered to retain, keyed by the series object;
-    the deflation rounds hand it to their gate (see ``norm_a2``).
     """
     ball = BallContext.of(f)
-    retained = _select_walk(
-        f, tuple(complex(v) for v in x0), ball, backend, {} if norms is None else norms
-    )
+    retained = _select_walk(f, tuple(complex(v) for v in x0), ball, backend)
     if not retained:
         raise TruncationExhaustedError(
             "selection retained no equations: every branch stayed under its "
@@ -630,15 +611,14 @@ def _run_rounds(
     failure = extraction = None
     try:
         while True:
-            norms: dict[TruncatedSeries, float] = {}
-            current, records = select_detailed(current, x0, backend, norms=norms)
+            current, records = select_detailed(current, x0, backend)
             if truncation_orders is not None:
                 current = current.with_equations(
                     ts_truncate(eq, min(eq.order, truncation_orders[k]))
                     for eq in current.equations
                 )
             values = system_evaluate(current, x0)
-            gate = _system_gate(current, values, ball, backend, norms)
+            gate = _system_gate(current, values, ball, backend)
             report = pivots = mu = None
             try:
                 if not gate.passed:

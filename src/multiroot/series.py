@@ -5,7 +5,9 @@ Every system handled by this package is represented as a tuple of
 center, indexed by exponent vectors.  A series of order ``p`` stores all
 coefficients of total degree ``<= p``; absent exponents are zero.  All
 operations are pure functions returning new values, so series and systems
-are safe to share between threads.
+are safe to share between threads.  A series keeps its last norm
+(``multiroot.bergman``), so it must not be changed after construction; the
+memo's write is idempotent.
 
 Coefficients live in complex double precision; real data embeds with zero
 imaginary parts.  Iteration over stored terms is always in graded
@@ -70,7 +72,8 @@ class TruncatedSeries:
         coefficients.  Terms of total degree beyond ``order`` are rejected.
     """
 
-    __slots__ = ("center", "order", "coefficients")
+    # _norm: multiroot.bergman's memo, (ball center, radius, backend) -> norms.
+    __slots__ = ("center", "order", "coefficients", "_norm")
 
     def __init__(
         self,
@@ -100,6 +103,7 @@ class TruncatedSeries:
             if c != 0:
                 coeffs[alpha] = coeffs.get(alpha, 0.0) + c
         self.coefficients = coeffs
+        self._norm = None
 
     @classmethod
     def _of(
@@ -113,6 +117,7 @@ class TruncatedSeries:
         self.center = center
         self.order = order
         self.coefficients = {a: 0.0 + c for a, c in coefficients.items() if c != 0}
+        self._norm = None
         return self
 
     @property

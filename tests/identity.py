@@ -5,10 +5,11 @@
 writes one JSON line per generated input: the ``deflate`` report of its
 deflation trace, the reprs of the ``newton_iterate(..., 4)`` iterates and the
 repr of the ``singular_alpha_certificate`` report.  The inputs are
-``perfbench/gen.py``'s ``family_inputs(SEED, PER_FAMILY)`` followed by the 17
-gy2 points of ``gy2_inputs(0, 16)``.  Run it under two checkouts and ``cmp``
-the outputs: a refactor that claims to change no output bit must leave them
-byte-identical.
+``perfbench/gen.py``'s ``family_inputs(SEED, PER_FAMILY)``, then the 17 gy2
+points of ``gy2_inputs(0, 16)``, then the family inputs again under the
+appendix_slice norm, named ``<input>@appendix``, so that the slice norm runs
+at n >= 3 as well.  Run it under two checkouts and ``cmp`` the outputs: a
+refactor that claims to change no output bit must leave them byte-identical.
 
     python tests/identity.py --diff A.jsonl B.jsonl
 
@@ -46,11 +47,13 @@ def _outcome(fn):
         return f"{type(exc).__name__}: {exc}"
 
 
-def record(path: Path) -> dict:
-    system, point, options = parse_system(str(path))
+def record(path: Path, override: str | None = None) -> dict:
+    """The outputs for the input at ``path``, under the backend ``override``
+    names when one is given, which then marks the input's name."""
+    system, point, options = parse_system(str(path), backend_override=override)
     backend = options["backend"]
     return {
-        "input": path.stem,
+        "input": path.stem if override is None else f"{path.stem}@{override}",
         "trace": _outcome(
             lambda: build_trace_report(deflation_sequence(system, point, backend))
         ),
@@ -140,10 +143,11 @@ def main(argv: list[str]) -> int:
     seed, per_family = int(argv[0]), int(argv[1])
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        paths = [p for block in gen.family_inputs(out, seed, per_family) for p in block]
-        paths += gen.gy2_inputs(out, 0, 16)
-        for path in paths:
-            sys.stdout.write(json.dumps(record(path), sort_keys=True) + "\n")
+        families = [p for block in gen.family_inputs(out, seed, per_family) for p in block]
+        runs = [(p, None) for p in families + gen.gy2_inputs(out, 0, 16)]
+        runs += [(p, "appendix") for p in families]
+        for path, override in runs:
+            sys.stdout.write(json.dumps(record(path, override), sort_keys=True) + "\n")
     return 0
 
 

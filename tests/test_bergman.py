@@ -1,8 +1,11 @@
+import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from multiroot import bergman
 from multiroot.bergman import (
     APPENDIX_SLICE,
     COMPLEX_EXACT,
@@ -15,6 +18,9 @@ from multiroot.bergman import (
     nu,
     series_norm_a2,
 )
+from multiroot.certificates import singular_alpha_certificate
+from multiroot.cli import parse_system
+from multiroot.deflation import newton_iterate
 from multiroot.errors import DomainError
 from multiroot.series import (
     AnalyticSystem,
@@ -25,13 +31,16 @@ from multiroot.series import (
 )
 
 from conftest import (
+    FIXTURES,
     interior_point,
     monte_carlo_norm_complex,
     random_polynomial,
     random_system,
     scaled,
 )
+from test_batched import _load_gen
 
+GEN = _load_gen()
 C2 = (0.0, 0.0)
 BALL = BallContext(C2, 1.0, 2)
 
@@ -265,3 +274,79 @@ class TestGammaBar:
         # only nonzero derivative tensor is D^2 f = diag-ish with entry 2
         direct = (2.0 / math.factorial(2)) ** (1.0 / (2 - 1))
         assert direct <= gamma_bar_bound(f, C2, COMPLEX_EXACT)
+
+
+class TestNormOnce:
+    """A series' norm is computed once for each ball and backend, and kept
+    with the series."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """Counts of the norm computations by (series, center, radius,
+        backend); the series are kept alive so that no id is reused."""
+        counts = collections.Counter()
+        seen = []
+        for name in ("_series_norm_complex", "_series_norm_slice_sq"):
+            def counted(f, ball, compute=getattr(bergman, name), name=name):
+                seen.append(f)
+                counts[id(f), ball.omega, ball.radius, name] += 1
+                return compute(f, ball)
+
+            monkeypatch.setattr(bergman, name, counted)
+        return counts
+
+    def test_once_per_certificate_and_trajectory(self, computed, tmp_path):
+        paths = [FIXTURES / "gy2.json", GEN.gy2_inputs(tmp_path, 0, 1)[1]]
+        paths += GEN.family_inputs(tmp_path, 802, 1)[0]
+        for path in paths:
+            f, x0, options = parse_system(str(path))
+            backend = options["backend"]
+            for run in (
+                lambda: singular_alpha_certificate(f, x0, backend),
+                lambda: newton_iterate(f, x0, 4, backend),
+            ):
+                computed.clear()
+                run()
+                assert computed, path.name
+                assert max(computed.values()) == 1, path.name
+
+    def test_each_ball_and_backend_its_own(self):
+        rng = np.random.default_rng(29)
+        f = random_polynomial(rng, 2, 3)
+        balls = [(C2, 1.0), (C2, 0.7), ((0.1, -0.2), 1.0)]
+        # Every ball under both backends, twice over, on one series object.
+        for omega, radius in balls * 2:
+            ball = BallContext(omega, radius, 2)
+            for backend in (COMPLEX_EXACT, APPENDIX_SLICE, COMPLEX_EXACT):
+                fresh = TruncatedSeries(f.center, f.order, f.coefficients)
+                assert series_norm_a2(f, ball, backend) == series_norm_a2(fresh, ball, backend)
+                system = AnalyticSystem(2, (f,), omega, radius)
+                fresh_system = AnalyticSystem(2, (fresh,), omega, radius)
+                assert norm_a2(system, backend) == norm_a2(fresh_system, backend)
+
+
+class TestSliceOverflow:
+    """Finite input whose slice norm exceeds double precision raises
+    ``OverflowError``, as the complex backend does, and numpy warns of
+    nothing; a NaN coefficient keeps its NaN norm."""
+
+    @pytest.mark.parametrize(
+        "f, ball",
+        [
+            (TruncatedSeries(C2, 2, {(1, 0): 1e308}), BALL),
+            (TruncatedSeries(C2, 2, {(2, 0): 1.0}), BallContext(C2, 1e300, 2)),
+        ],
+        ids=["coefficient", "radius"],
+    )
+    def test_overflow_raises(self, f, ball):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for backend in (COMPLEX_EXACT, APPENDIX_SLICE):
+                with pytest.raises(OverflowError):
+                    series_norm_a2(f, ball, backend)
+
+    def test_nan_coefficient(self):
+        f = TruncatedSeries(C2, 2, {(1, 0): math.nan, (0, 1): 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(series_norm_a2(f, BALL, APPENDIX_SLICE))

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -442,12 +443,16 @@ class TestExitCodes:
 
 class TestOverflow:
     """Finite input whose arithmetic outgrows double precision is a numerical
-    error (exit 3, one line on stderr), never a traceback."""
+    error (exit 3, one line on stderr) under either norm backend, never a
+    traceback or a warning."""
 
     def assert_overflow(self, capsys, tmp_path, payload, commands):
         path = write_json(tmp_path, "huge.json", payload)
         for command in commands:
-            code, out, err = run_cli(capsys, command, "--input", path)
+            # pytest captures warnings apart from stderr; make them errors.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, command, "--input", path)
             assert (code, out) == (3, ""), command
             assert err.startswith("deflate: numerical overflow: ")
             assert err.count("\n") == 1
@@ -455,6 +460,11 @@ class TestOverflow:
     def test_huge_coefficient(self, capsys, tmp_path):
         payload = _gy2_first_term(coefficient=[1e308, 0.0])
         payload["norm_backend"] = "complex"
+        self.assert_overflow(capsys, tmp_path, payload, ["deflate", "solve", "certify"])
+
+    def test_huge_coefficient_appendix(self, capsys, tmp_path):
+        payload = _gy2_first_term(coefficient=[1e308, 0.0])
+        payload["norm_backend"] = "appendix"
         self.assert_overflow(capsys, tmp_path, payload, ["deflate", "solve", "certify"])
 
     def test_huge_point(self, capsys, tmp_path):
@@ -466,6 +476,26 @@ class TestOverflow:
     def test_huge_radius(self, capsys, tmp_path):
         payload = _gy2_with(radius=1e300, norm_backend="complex")
         self.assert_overflow(capsys, tmp_path, payload, ["deflate", "solve", "certify"])
+
+    def test_huge_radius_appendix(self, capsys, tmp_path):
+        payload = _gy2_with(radius=1e300, norm_backend="appendix")
+        self.assert_overflow(capsys, tmp_path, payload, ["deflate", "solve", "certify"])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [_gy2_first_term(coefficient=[1e308, 0.0]), _gy2_with(radius=1e300)],
+        ids=["coefficient", "radius"],
+    )
+    def test_rank_needs_no_norm(self, capsys, tmp_path, payload):
+        # An equation whose norm would overflow has a value above the bound
+        # eta(0), so selection never norms it: ``rank`` reports under either
+        # backend.
+        for backend in ("complex", "appendix"):
+            path = write_json(tmp_path, "huge.json", dict(payload, norm_backend=backend))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, _out, err = run_cli(capsys, "rank", "--input", path)
+            assert (code, err) == (0, ""), backend
 
 
 class TestCountFlags:

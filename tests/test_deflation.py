@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -102,6 +103,29 @@ class TestConstants:
         u = ALPHA0
         assert abs((1 - 4 * u + 2 * u**2) ** 2 - 2 * u) < 1e-12
         assert u == pytest.approx(0.1307169444, abs=1e-10)
+
+    def test_alpha0_just_below_the_root(self):
+        # p(u) = 4u^4 - 16u^3 + 20u^2 - 10u + 1 and its derivatives, in
+        # exact rationals.
+        def p(u):
+            return 4 * u**4 - 16 * u**3 + 20 * u**2 - 10 * u + 1
+
+        def dp(u):
+            return 16 * u**3 - 48 * u**2 + 40 * u - 10
+
+        def d2p(u):
+            return 48 * u**2 - 96 * u + 40
+
+        a = Fraction(ALPHA0)
+        # p''' = 96(u - 1) < 0 on [0, a], so p'' >= p''(a) > 0 there: p'
+        # rises from p'(0) = -10 to p'(a) < 0, and p falls to p(a) > 0.
+        assert d2p(a) > 0
+        assert dp(0) == -10 and -5.56 < dp(a) < -5.55
+        assert p(a) > 0
+        # The root lies between the 2nd and the 3rd double above ALPHA0.
+        second = np.nextafter(np.nextafter(ALPHA0, 1.0), 1.0)
+        third = np.nextafter(second, 1.0)
+        assert p(Fraction(float(second))) > 0 > p(Fraction(float(third)))
 
 
 class TestEtaThreshold:
@@ -220,6 +244,13 @@ class TestKernelingPivots:
         block = j0[np.ix_(rows, cols)]
         assert singular_values(block, np.linalg.norm(j0, 2))[-1] > 0.0
         assert sigma_min == np.linalg.svd(block, compute_uv=False)[-1]
+
+    def test_exact_tie_goes_to_the_smaller_column(self):
+        # The nonsingular 1 x 1 blocks (row 0, col 1) and (row 1, col 0) tie
+        # exactly: the values are zero and both leave the Schur complement
+        # 1 - 0 * 0 / 1 = 1.  The smaller column wins, before the smaller row.
+        j0 = np.array([[0, 1], [1, 0]], dtype=complex)
+        assert _kerneling_pivots(j0, np.zeros(2, dtype=complex), 1) == ((1,), (0,), 1.0)
 
 
 class TestKernelOp:
@@ -606,8 +637,8 @@ class TestOneStepPerSelection:
 
         selections = []
 
-        def counted(f, x0, backend, **kwargs):
-            result = select_detailed(f, x0, backend, **kwargs)
+        def counted(f, x0, backend):
+            result = select_detailed(f, x0, backend)
             selections.append(result)
             return result
 

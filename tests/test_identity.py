@@ -32,8 +32,12 @@ def one_point_per_family():
 
 def test_one_point_per_family(one_point_per_family, capsys):
     records = [json.loads(line) for line in one_point_per_family.splitlines()]
-    # One point of each of the 8 families, then the 17 gy2 points.
-    assert len(records) == 8 + 17
+    # One point of each of the 8 families, the 17 gy2 points, then the 8
+    # family points again under the appendix_slice norm.
+    assert len(records) == 8 + 17 + 8
+    assert [r["input"] for r in records[-8:]] == [
+        r["input"] + "@appendix" for r in records[:8]
+    ]
     assert len({r["input"] for r in records}) == len(records)
     assert all(set(r) == {"input", "trace", "iterates", "certificate"} for r in records)
     # The generated gy2 point 0 is the fixture: its trace is the deflate report.

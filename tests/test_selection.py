@@ -76,9 +76,8 @@ def reference_walk(eq, record, pending, x0, ball, backend, retained):
         reference_walk(d, drec, (eq, record, parent_scale), x0, ball, backend, retained)
 
 
-def reference_select(f, x0, backend, *, norms=None):
-    """Selection by the plain walk; it records no norms, so a caller's
-    ``norms`` stays empty."""
+def reference_select(f, x0, backend):
+    """Selection by the plain walk."""
     ball = BallContext.of(f)
     retained = []
     for k, eq in enumerate(f.equations):
