@@ -9,12 +9,14 @@ Input file schema (``SystemFile``)::
       ],
       "point": [[re, im], ...],             # the working point x0
       "radius": 1.0,                        # ambient ball radius R > 0
-      "order": 3,                           # truncation order (default 3)
+      "order": 3,                           # truncation order (default: the degree)
       "norm_backend": "complex"             # "complex" | "appendix"
     }
 
 Equations are read as polynomials in the original variables, recentered at
 ``point`` and truncated at ``order``; the ambient ball is B(point, radius).
+Without ``order`` (in the file or as ``--order``) the order is the input's
+degree, the highest total degree among its terms, so nothing is truncated.
 ``deflate rank`` also accepts ``{"matrix": [[entry, ...], ...]}`` with
 entries given as numbers or [re, im] pairs.  Every number must be a finite
 JSON number: ``true``, ``false``, ``NaN`` and ``Infinity`` are parse errors.
@@ -51,7 +53,7 @@ from .deflation import (
 )
 from .errors import HypothesisFailure, MultirootError, ParseError
 from .rank import RankReport, numerical_rank
-from .series import AnalyticSystem, TruncatedSeries, jacobian_at, ts_recenter
+from .series import AnalyticSystem, TruncatedSeries, jacobian_at, recenter_series
 
 __all__ = ["main", "parse_system", "build_trace_report"]
 
@@ -128,10 +130,10 @@ def parse_system(
     radius = data["radius"]
     if not _is_finite(radius) or radius <= 0:
         raise ParseError("field 'radius': expected a positive number")
-    order = data.get("order", 3)
+    order = data.get("order")
     if order_override is not None:
         order = order_override
-    if not _is_int(order) or order < 0:
+    if order is not None and not (_is_int(order) and order >= 0):
         raise ParseError("field 'order': expected a nonnegative integer")
     backend_name = data.get("norm_backend", "complex")
     if backend_override is not None:
@@ -147,7 +149,7 @@ def parse_system(
             "threshold eta is defined for n >= 2"
         )
 
-    equations = []
+    polynomials = []
     for i, terms in enumerate(equations_raw):
         where = f"field 'equations'[{i}]"
         if not isinstance(terms, list) or not terms:
@@ -172,10 +174,17 @@ def parse_system(
             alpha = tuple(exps)
             degree = max(degree, sum(alpha))
             coeffs[alpha] = coeffs.get(alpha, 0.0) + coef
-        # Exact polynomial around the origin, then the recentering step.
-        full = TruncatedSeries((0.0,) * n, max(degree, order), coeffs)
-        equations.append(ts_recenter(full, point, order))
-    system = AnalyticSystem(n, tuple(equations), point, float(radius))
+        polynomials.append((degree, coeffs))
+    if order is None:
+        # Without an order nothing the input lists is truncated away.
+        order = max(degree for degree, _coeffs in polynomials)
+    # Exact polynomials around the origin, then one recentering pass.
+    full = [
+        TruncatedSeries((0.0,) * n, max(degree, order), coeffs)
+        for degree, coeffs in polynomials
+    ]
+    equations = recenter_series(full, point, [order] * len(full))
+    system = AnalyticSystem(n, equations, point, float(radius))
     options = {"order": order, "backend": backend, "vars": [str(v) for v in vars_]}
     return system, point, options
 

@@ -26,8 +26,12 @@ The pipeline, for a point x0 near a multiple root:
    kerneling rounds is the *thickness* of the sequence.
 
 Classical Newton on the extracted square system is the singular Newton
-operator of the original system.  Every routine here is a pure function over
-immutable snapshots; traces are safe to share once built.
+operator of the original system.  Extraction already solves J_S delta =
+F_S(x0) for every admitted subset S to compare their Newton points, so the
+chosen subset's point x0 - delta is kept with the extraction step and is the
+step; a system already centered at x0 is deflated as it is, with the norms
+its series keep.  Every routine here is a pure function over immutable
+snapshots; traces are safe to share once built.
 """
 
 from __future__ import annotations
@@ -135,7 +139,9 @@ class DeflationStep:
     F_{k+1} = S(K(F_k)), and "extraction" for the final square system.  The
     pivot lists attached to a step are the ones derived from its own rank
     report: the Schur pivots when the rank is deficient, the extracted
-    equation indices at full rank.
+    equation indices at full rank.  The extraction step also keeps
+    ``newton_point``, x0 - J^{-1} F(x0) for the extracted square system F
+    and its Jacobian J at x0: the singular Newton step.
     """
 
     kind: str
@@ -146,6 +152,7 @@ class DeflationStep:
     pivot_cols: tuple[int, ...] | None
     provenance: tuple[SelectionRecord, ...] = ()
     mu: float | None = None
+    newton_point: tuple[complex, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -341,10 +348,16 @@ def _select_walk(
                 retained_self = True
         return False
 
-    for k, eq in enumerate(f.equations):
-        rec = SelectionRecord(k, zero)
-        if walk(eq, rec):
-            retain(eq, rec, max_coeff(eq))
+    try:
+        for k, eq in enumerate(f.equations):
+            rec = SelectionRecord(k, zero)
+            if walk(eq, rec):
+                retain(eq, rec, max_coeff(eq))
+    finally:
+        # walk and gate_and_descend refer to each other; unbinding one frees
+        # the walk's memo and series when the call returns, not at the next
+        # pass of the cyclic garbage collector.
+        gate_and_descend = None
     return retained
 
 
@@ -372,7 +385,7 @@ def select_detailed(
             "selection retained no equations: every branch stayed under its "
             "gate to the end of the stored truncation order"
         )
-    system = f.with_equations(series for series, _, _ in retained)
+    system = f._with(series for series, _, _ in retained)
     return system, tuple(rec for _, rec, _ in retained)
 
 
@@ -460,9 +473,13 @@ def _complements(m: int, r: int) -> np.ndarray:
 
 
 def _kerneling_pivots(
-    j0: np.ndarray, values: np.ndarray, r: int
+    j0: np.ndarray, values: np.ndarray, r: int, scale: float
 ) -> tuple[tuple[int, ...], tuple[int, ...], float]:
     """Pivot block choice for one kerneling round: (rows, cols, sigma_min).
+
+    ``scale`` is ||J|| = sigma_max of j0, as the round's rank report holds it;
+    it sets the rounding floor of the blocks' singular values and the width
+    of the tie band.
 
     Among all nonsingular r x r pivot blocks, take the one minimizing the
     kerneling residual ||K(f)(x0)|| (the quantity the kerneling acceptance
@@ -476,7 +493,6 @@ def _kerneling_pivots(
     if math.comb(s, r) * math.comb(n, r) > _PIVOT_BRUTE_LIMIT:
         rows, cols = pivot_selection(j0, r)
         return rows, cols, float(np.linalg.svd(j0[np.ix_(rows, cols)], compute_uv=False)[-1])
-    scale = float(np.linalg.norm(j0, 2))
     row_sets, rows_a = _subsets(s, r)
     col_sets, cols_a = _subsets(n, r)
     # Every candidate block at once: blocks[i, j] = j0[row_sets[i]][:, col_sets[j]].
@@ -520,18 +536,19 @@ def kernel_op(
     order = max(f.min_order() - 1, 0)
     equations = [ts_truncate(f.equations[i], order) for i in row_idx]
     equations.extend(jacobian_schur(f, row_idx, col_idx, order))
-    return f.with_equations(equations)
+    return f._with(equations)
 
 
 def _extract_square_indexed(
     f: AnalyticSystem, x0: Sequence[complex], j0: np.ndarray, values: np.ndarray
-) -> tuple[AnalyticSystem, tuple[int, ...], RankReport]:
+) -> tuple[AnalyticSystem, tuple[int, ...], RankReport, tuple[complex, ...]]:
     """Extraction given the Jacobian j0 of f at x0, already read as rank n,
-    and f's values at x0."""
+    and f's values at x0: (square system, its equation indices, its rank
+    report, its Newton point x0 - J_S^{-1} F_S(x0))."""
     n = f.dim
     s = f.size
+    x0a = np.array([complex(t) for t in x0])
     if math.comb(s, n) <= _EXTRACT_BRUTE_LIMIT:
-        x0a = np.array([complex(t) for t in x0])
         _sets, combos = _subsets(s, n)
         sigmas = singular_values(j0[combos])
         full = full_rank_mask(sigmas)
@@ -557,6 +574,7 @@ def _extract_square_indexed(
             for k in near.tolist()
         )
         report = rank_from_singular_values(sigmas[best])
+        point = points[best]
     else:
         # Pivot columns of the transpose are well-conditioned equation rows.
         _rows, cols = pivot_selection(j0.T, n)
@@ -564,8 +582,9 @@ def _extract_square_indexed(
         report = numerical_rank(j0[list(chosen), :])
         if report.rank < n:
             raise ExtractionError("no equation subset achieves full numerical rank")
-    square = f.with_equations(f.equations[i] for i in chosen)
-    return square, chosen, report
+        point = x0a - np.linalg.solve(j0[list(chosen), :], values[list(chosen)])
+    square = f._with(f.equations[i] for i in chosen)
+    return square, chosen, report, tuple(point.tolist())
 
 
 def extract_square(f: AnalyticSystem, x0: Sequence[complex]) -> AnalyticSystem:
@@ -584,7 +603,7 @@ def extract_square(f: AnalyticSystem, x0: Sequence[complex]) -> AnalyticSystem:
             f"jacobian has numerical rank {overall.rank} < n = {f.dim}; no square "
             "system of full rank exists"
         )
-    square, _idx, _report = _extract_square_indexed(f, x0, j0, system_evaluate(f, x0))
+    square, _idx, _report, _point = _extract_square_indexed(f, x0, j0, system_evaluate(f, x0))
     return square
 
 
@@ -613,8 +632,10 @@ def _run_rounds(
         while True:
             current, records = select_detailed(current, x0, backend)
             if truncation_orders is not None:
-                current = current.with_equations(
-                    ts_truncate(eq, min(eq.order, truncation_orders[k]))
+                # An equation already within the order is kept, with its norms.
+                order = truncation_orders[k]
+                current = current._with(
+                    eq if eq.order <= order else ts_truncate(eq, order)
                     for eq in current.equations
                 )
             values = system_evaluate(current, x0)
@@ -636,14 +657,18 @@ def _run_rounds(
                     )
                     break
                 if report.rank == current.dim:
-                    square, chosen, square_report = _extract_square_indexed(
+                    square, chosen, square_report, point = _extract_square_indexed(
                         current, x0, j0, values
                     )
                     pivots = (chosen, tuple(range(current.dim)))
                     mu = 1.0 / square_report.sigma[-1]
-                    extraction = DeflationStep("extraction", square, None, square_report, *pivots)
+                    extraction = DeflationStep(
+                        "extraction", square, None, square_report, *pivots, newton_point=point
+                    )
                     break
-                rows, cols, sigma_min = _kerneling_pivots(j0, values, report.rank)
+                rows, cols, sigma_min = _kerneling_pivots(
+                    j0, values, report.rank, report.sigma[0]
+                )
                 pivots, mu = (rows, cols), 1.0 / sigma_min
             finally:
                 # The round's step, with what it decided before it ended.
@@ -724,20 +749,17 @@ def singular_newton_step(
     """One step of the singular Newton operator at x0.
 
     The system is recentered and re-truncated at x0 (order preserved, ball
-    carried to x0), a deflation sequence is run, and classical Newton is
-    applied to the extracted square system; if no deflated system exists the
-    point is returned unchanged.
+    carried to x0; a system already centered at x0 is used as it is), a
+    deflation sequence is run, and classical Newton is applied to the
+    extracted square system: the step is the extraction step's
+    ``newton_point``, which extraction solved for when it chose the system.
+    If no deflated system exists the point is returned unchanged.
     """
     x0 = tuple(complex(v) for v in x0)
-    local = recenter_system(f, x0)
-    trace = deflation_sequence(local, x0, backend)
+    trace = deflation_sequence(recenter_system(f, x0), x0, backend)
     if trace.deflated is None:
         return x0
-    square = trace.deflated
-    j0 = jacobian_at(square, x0)
-    # Extraction certified the rank, so the solve succeeds.
-    delta = np.linalg.solve(j0, system_evaluate(square, x0))
-    return tuple(complex(a - b) for a, b in zip(x0, delta))
+    return trace.steps[-1].newton_point
 
 
 def newton_iterate(

@@ -13,10 +13,18 @@ Coefficients live in complex double precision; real data embeds with zero
 imaginary parts.  Iteration over stored terms is always in graded
 lexicographic order, which keeps every downstream computation and report
 deterministic.
+
+Two array kernels do the work on whole systems: ``_evaluate_padded`` values
+series away from their center, and ``recenter_series`` re-expands series
+around a new center.  Each gives, bit for bit, what the term-by-term Python
+arithmetic gives, and keeps what depends only on where the coefficients are
+(the exponents, and for recentering the orders) in a layout built once per
+pattern in a bounded cache.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,6 +48,7 @@ __all__ = [
     "jacobian_at",
     "system_evaluate",
     "system_evaluate_many",
+    "recenter_series",
     "recenter_system",
 ]
 
@@ -192,6 +201,42 @@ def system_evaluate_many(f: "AnalyticSystem", points) -> np.ndarray:
     return _evaluate_padded(f.equations, points).T.copy()
 
 
+class _PaddedLayout:
+    """Everything ``_evaluate_padded`` needs of its series besides their
+    coefficient values: where each term sits in the padded array, the largest
+    exponent, and for each pass j the terms with more than j nonzero
+    exponents, the variable of the j-th one and its exponent."""
+
+    def __init__(self, n: int, exponents: tuple[tuple[Exponent, ...], ...]):
+        sizes = [len(eq) for eq in exponents]
+        self.width = width = max(sizes)
+        # Term j of series s sits at row s * width + j.
+        self.rows = np.arange(sum(sizes)) + np.repeat(
+            np.arange(len(sizes)) * width - np.cumsum([0, *sizes[:-1]]), sizes
+        )
+        exps = np.zeros((len(sizes) * width, n), dtype=int)
+        exps[self.rows] = [a for eq in exponents for a in eq]
+        self.top = int(exps.max())
+        # The nonzero exponents, term by term in variable order, and the place
+        # of each among its term's.
+        terms, var = np.nonzero(exps)
+        place = np.arange(len(terms)) - np.searchsorted(terms, terms)
+        self.passes = [
+            (terms[place == j], var[place == j], exps[terms[place == j], var[place == j]])
+            for j in range(int(place.max(initial=-1)) + 1)
+        ]
+        # A layout is shared by every caller of its pattern.
+        for array in (self.rows, *(a for step in self.passes for a in step)):
+            array.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=64)
+def _padded_layout(n: int, exponents: tuple[tuple[Exponent, ...], ...]) -> _PaddedLayout:
+    """The ``_PaddedLayout`` of series whose stored exponents are
+    ``exponents``, built once per pattern."""
+    return _PaddedLayout(n, exponents)
+
+
 def _evaluate_padded(fs: Sequence[TruncatedSeries], points) -> np.ndarray:
     """Values of each series of fs, which share one center, at each row of
     points, shape (len(fs), k).
@@ -204,49 +249,37 @@ def _evaluate_padded(fs: Sequence[TruncatedSeries], points) -> np.ndarray:
     formed once, and pass j multiplies every term with more than j nonzero
     exponents by the power of its j-th one.  Every series' terms go into one
     array, padded at the end with zero terms, so numpy is set up once for all
-    of them; a padded term adds an exact zero.  Complex products are formed
-    from real and imaginary parts as Python forms them, so a value does not
-    depend on the batch it is computed in: numpy's complex multiply moves the
-    last bit with the batch size.
+    of them; a padded term adds an exact zero.  What depends only on the
+    stored exponents is a ``_PaddedLayout``, built once per pattern.  Complex
+    products are formed from real and imaginary parts as Python forms them,
+    so a value does not depend on the batch it is computed in: numpy's
+    complex multiply moves the last bit with the batch size.
     """
     n = fs[0].dim
     points = np.asarray(points, dtype=complex)
     if points.ndim != 2 or points.shape[1] != n:
         raise StructuralError(f"points have shape {points.shape}, expected (k, {n})")
     k = points.shape[0]
-    sizes = [len(f.coefficients) for f in fs]
-    width = max(sizes)
-    if not width:
+    if not any(f.coefficients for f in fs):
         return np.zeros((len(fs), k), dtype=complex)
-    # Term j of series s sits at row s * width + j.
-    rows = np.arange(sum(sizes)) + np.repeat(
-        np.arange(len(fs)) * width - np.cumsum([0, *sizes[:-1]]), sizes
-    )
-    exps = np.zeros((len(fs) * width, n), dtype=int)
+    layout = _padded_layout(n, tuple(tuple(f.coefficients) for f in fs))
+    width = layout.width
     coeffs = np.zeros(len(fs) * width, dtype=complex)
-    exps[rows] = [a for f in fs for a in f.coefficients]
-    coeffs[rows] = [c for f in fs for c in f.coefficients.values()]
+    coeffs[layout.rows] = [c for f in fs for c in f.coefficients.values()]
     center = np.array(fs[0].center, dtype=complex)
     dxr = (points.real - center.real).T
     dxi = (points.imag - center.imag).T
     # powers[a, i] = dx_i^a over the points, from 1 + 0j.
-    top = int(exps.max())
-    pr = np.empty((top + 1, n, k))
-    pi = np.empty((top + 1, n, k))
+    pr = np.empty((layout.top + 1, n, k))
+    pi = np.empty((layout.top + 1, n, k))
     pr[0], pi[0] = 1.0, 0.0
-    for a in range(1, top + 1):
+    for a in range(1, layout.top + 1):
         pr[a] = pr[a - 1] * dxr - pi[a - 1] * dxi
         pi[a] = pr[a - 1] * dxi + pi[a - 1] * dxr
-    # The nonzero exponents, term by term in variable order, and the place
-    # of each among its term's.
-    terms, var = np.nonzero(exps)
-    place = np.arange(len(terms)) - np.searchsorted(terms, terms)
     # Each term's running product over the points: [term, point].
     tr = np.repeat(coeffs.real[:, None], k, axis=1)
     ti = np.repeat(coeffs.imag[:, None], k, axis=1)
-    for j in range(int(place.max(initial=-1)) + 1):
-        t, v = terms[place == j], var[place == j]
-        e = exps[t, v]
+    for t, v, e in layout.passes:
         qr, qi = pr[e, v], pi[e, v]
         ar, ai = tr[t], ti[t]
         tr[t] = ar * qr - ai * qi
@@ -259,48 +292,139 @@ def _evaluate_padded(fs: Sequence[TruncatedSeries], points) -> np.ndarray:
     return out
 
 
-def ts_recenter(
-    f: TruncatedSeries, new_center: Sequence[complex], new_order: int
-) -> TruncatedSeries:
-    """Taylor expansion of f around a new center, truncated at new_order.
+class _RecenterLayout:
+    """Everything ``recenter_series`` needs of its series besides their
+    coefficient values and the shift.
+
+    ``patterns`` holds, per series, its new order and its stored exponents.
+    Expanding (u + delta)^alpha variable by variable, term alpha contributes
+    to each beta <= alpha of degree <= the new order, in
+    ``itertools.product`` order, the product of its coefficient and the
+    factors comb(alpha_i, beta_i) delta_i^(alpha_i - beta_i).  The factor
+    rows b = 0..a of each (variable i, exponent a) that a term uses are laid
+    end to end in one table, which ``powers`` describes entry by entry as
+    (i, a - b, comb(a, b)).  Each contribution has its term (``term``), its
+    factor ids in the table, one row per variable (``factors``), and its
+    output slot (``slot``).  A slot is one output exponent of one series
+    (``slot_exponents``, ``slot_series``), numbered in the order of its first
+    contribution.
+    """
+
+    def __init__(self, n: int, patterns: tuple[tuple[int, tuple[Exponent, ...]], ...]):
+        offsets: dict[tuple[int, int], int] = {}
+        term, factors, slot = [], [], []
+        self.slot_exponents: list[Exponent] = []
+        self.slot_series: list[int] = []
+        t = size = 0
+        for s, (order, exponents) in enumerate(patterns):
+            slots: dict[Exponent, int] = {}
+            for alpha in exponents:
+                starts = []
+                for i, a in enumerate(alpha):
+                    start = offsets.get((i, a))
+                    if start is None:
+                        start = offsets[i, a] = size
+                        size += a + 1
+                    starts.append(start)
+                for beta in itertools.product(*(range(a + 1) for a in alpha)):
+                    if sum(beta) > order:
+                        continue
+                    k = slots.get(beta)
+                    if k is None:
+                        k = slots[beta] = len(self.slot_exponents)
+                        self.slot_exponents.append(beta)
+                        self.slot_series.append(s)
+                    term.append(t)
+                    factors.append([start + b for start, b in zip(starts, beta)])
+                    slot.append(k)
+                t += 1
+        # The factor table's entries, as (variable, power, binomial).
+        self.powers = [
+            (i, a - b, math.comb(a, b)) for i, a in offsets for b in range(a + 1)
+        ]
+        self.term = np.array(term, dtype=int)
+        self.factors = np.array(factors, dtype=int).reshape(len(term), n).T.copy()
+        self.slot = np.array(slot, dtype=int)
+        # A layout is shared by every caller of its pattern.
+        for array in (self.term, self.factors, self.slot):
+            array.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=64)
+def _recenter_layout(
+    n: int, patterns: tuple[tuple[int, tuple[Exponent, ...]], ...]
+) -> _RecenterLayout:
+    """The ``_RecenterLayout`` of ``patterns`` in n variables, built once per
+    pattern."""
+    return _RecenterLayout(n, patterns)
+
+
+def recenter_series(
+    fs: Sequence[TruncatedSeries], new_center: Sequence[complex], new_orders: Sequence[int]
+) -> tuple[TruncatedSeries, ...]:
+    """Taylor expansion of each series of fs, which share one center, around
+    a new center, the i-th truncated at new_orders[i].
 
     Exact for polynomials whenever ``new_order >= deg f``; in general only the
     coefficients up to ``new_order`` are produced and ``new_order <= f.order``
-    is required.
+    is required.  At the series' own center every shifted term carries a
+    factor 0 ** k with k > 0, and the result is ``ts_truncate``'s.
+
+    Elsewhere one array pass does the work, and every value is the one that
+    expanding term by term in Python gives: the factor table comb(a, b)
+    delta_i^(a-b) is built in Python, so an overflow raises
+    ``OverflowError``; each contribution is its coefficient times one factor
+    per variable in variable order, exact ones included, as complex products
+    formed from real and imaginary parts as Python forms them; and the
+    contributions are summed from 0 + 0j in term order.  An output exponent
+    comes in the order of its first nonzero contribution, and a zero sum
+    stores nothing.  What depends only on the orders and the stored
+    exponents is a ``_RecenterLayout``, built once per pattern.
     """
-    if new_order < 0:
-        raise StructuralError("series order must be nonnegative")
-    if new_order > f.order:
-        raise StructuralError(
-            f"new_order {new_order} exceeds stored order {f.order}"
-        )
     new_center = _as_point(new_center)
-    if len(new_center) != f.dim:
-        raise StructuralError("new center has wrong dimension")
-    if new_center == f.center:
-        # Every shifted term carries a factor 0 ** k with k > 0.
-        return ts_truncate(f, new_order)
-    delta = [nc - oc for nc, oc in zip(new_center, f.center)]
-    # rows[i, a][b] = comb(a, b) delta_i^(a-b), built once per call.
-    rows: dict[tuple[int, int], list[complex]] = {}
-    coeffs: dict[Exponent, complex] = {}
-    for alpha, c in f.coefficients.items():
-        # (u + delta)^alpha expanded variable by variable.
-        per_var: list[list[complex]] = []
-        for i, a in enumerate(alpha):
-            row = rows.get((i, a))
-            if row is None:
-                row = rows[i, a] = [math.comb(a, b) * delta[i] ** (a - b) for b in range(a + 1)]
-            per_var.append(row)
-        for beta in itertools.product(*(range(a + 1) for a in alpha)):
-            if sum(beta) > new_order:
-                continue
-            w = c
-            for row, b in zip(per_var, beta):
-                w *= row[b]
-            if w != 0:
-                coeffs[beta] = coeffs.get(beta, 0.0) + w
-    return TruncatedSeries._of(new_center, int(new_order), coeffs)
+    new_orders = [int(order) for order in new_orders]
+    for f, order in zip(fs, new_orders):
+        if order < 0:
+            raise StructuralError("series order must be nonnegative")
+        if order > f.order:
+            raise StructuralError(f"new_order {order} exceeds stored order {f.order}")
+        if len(new_center) != f.dim:
+            raise StructuralError("new center has wrong dimension")
+    center = fs[0].center
+    if new_center == center:
+        return tuple(ts_truncate(f, order) for f, order in zip(fs, new_orders))
+    layout = _recenter_layout(
+        len(center), tuple((order, tuple(f.coefficients)) for f, order in zip(fs, new_orders))
+    )
+    delta = [nc - oc for nc, oc in zip(new_center, center)]
+    table = np.array([c * delta[i] ** power for i, power, c in layout.powers], dtype=complex)
+    coeffs = np.array([c for f in fs for c in f.coefficients.values()], dtype=complex)
+    sums = np.zeros(len(layout.slot_exponents), dtype=complex)
+    # inf and NaN propagate as in Python's arithmetic, without warnings.
+    with np.errstate(all="ignore"):
+        w, q = coeffs[layout.term], table[layout.factors]
+        wr, wi = w.real, w.imag
+        for qr, qi in zip(q.real, q.imag):
+            wr, wi = wr * qr - wi * qi, wr * qi + wi * qr
+        np.add.at(sums.real, layout.slot, wr)
+        np.add.at(sums.imag, layout.slot, wi)
+    # An exponent comes at its first nonzero contribution (a NaN is nonzero);
+    # ``_of`` drops the zero sums.
+    values = sums.tolist()
+    out: list[dict[Exponent, complex]] = [{} for _ in fs]
+    for k in dict.fromkeys(layout.slot[(wr != 0) | (wi != 0)].tolist()):
+        out[layout.slot_series[k]][layout.slot_exponents[k]] = values[k]
+    return tuple(
+        TruncatedSeries._of(new_center, order, coeffs) for order, coeffs in zip(new_orders, out)
+    )
+
+
+def ts_recenter(
+    f: TruncatedSeries, new_center: Sequence[complex], new_order: int
+) -> TruncatedSeries:
+    """Taylor expansion of f around a new center, truncated at new_order:
+    ``recenter_series`` of f alone."""
+    return recenter_series((f,), new_center, (new_order,))[0]
 
 
 def max_coeff(f: TruncatedSeries) -> float:
@@ -386,16 +510,41 @@ class AnalyticSystem:
     def with_equations(self, equations: Iterable[TruncatedSeries]) -> "AnalyticSystem":
         return AnalyticSystem(self.dim, tuple(equations), self.ball_center, self.ball_radius)
 
+    @classmethod
+    def _of(
+        cls, dim: int, equations: tuple[TruncatedSeries, ...], ball_center: Point,
+        ball_radius: float,
+    ) -> "AnalyticSystem":
+        """Constructor for systems whose parts ``__post_init__`` would pass:
+        nonempty equations of dimension dim on one center, inside the ball,
+        from series and a ball already checked.  Skips those checks."""
+        self = object.__new__(cls)
+        for name, value in (
+            ("dim", dim), ("equations", equations), ("ball_center", ball_center),
+            ("ball_radius", ball_radius),
+        ):
+            object.__setattr__(self, name, value)
+        return self
+
+    def _with(self, equations: Iterable[TruncatedSeries]) -> "AnalyticSystem":
+        """``with_equations`` for nonempty series on this system's center,
+        already checked, without the checks."""
+        return AnalyticSystem._of(self.dim, tuple(equations), self.ball_center, self.ball_radius)
+
 
 def system_evaluate(f: AnalyticSystem, x: Sequence[complex]) -> np.ndarray:
     return np.array(_values_at(f.equations, x), dtype=complex)
 
 
 def recenter_system(f: AnalyticSystem, new_center: Sequence[complex]) -> AnalyticSystem:
-    """Recenter every equation at its own order, and the ball with them."""
+    """Recenter every equation at its own order, and the ball with them, in
+    one ``recenter_series`` pass.  A system already centered there, series
+    and ball, is returned as it is, with the norms its series keep."""
     new_center = _as_point(new_center)
-    eqs = tuple(ts_recenter(eq, new_center, eq.order) for eq in f.equations)
-    return AnalyticSystem(f.dim, eqs, new_center, f.ball_radius)
+    if new_center == f.center == f.ball_center:
+        return f
+    eqs = recenter_series(f.equations, new_center, [eq.order for eq in f.equations])
+    return AnalyticSystem._of(f.dim, eqs, new_center, f.ball_radius)
 
 
 def jacobian_at(f: AnalyticSystem, x: Sequence[complex]) -> np.ndarray:

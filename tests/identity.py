@@ -2,9 +2,11 @@
 
     PYTHONPATH=src python tests/identity.py SEED PER_FAMILY > out.jsonl
 
-writes one JSON line per generated input: the ``deflate`` report of its
-deflation trace, the reprs of the ``newton_iterate(..., 4)`` iterates and the
-repr of the ``singular_alpha_certificate`` report.  The inputs are
+writes one JSON line per generated input: the parsed system's coefficients
+(each equation's order and its terms in stored order, every coefficient as
+the ``float.hex`` of its real and imaginary parts), the ``deflate`` report of
+its deflation trace, the reprs of the ``newton_iterate(..., 4)`` iterates and
+the repr of the ``singular_alpha_certificate`` report.  The inputs are
 ``perfbench/gen.py``'s ``family_inputs(SEED, PER_FAMILY)``, then the 17 gy2
 points of ``gy2_inputs(0, 16)``, then the family inputs again under the
 appendix_slice norm, named ``<input>@appendix``, so that the slice norm runs
@@ -54,6 +56,16 @@ def record(path: Path, override: str | None = None) -> dict:
     backend = options["backend"]
     return {
         "input": path.stem if override is None else f"{path.stem}@{override}",
+        "parsed": [
+            {
+                "order": eq.order,
+                "terms": [
+                    [list(alpha), c.real.hex(), c.imag.hex()]
+                    for alpha, c in eq.coefficients.items()
+                ],
+            }
+            for eq in system.equations
+        ],
         "trace": _outcome(
             lambda: build_trace_report(deflation_sequence(system, point, backend))
         ),

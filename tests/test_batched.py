@@ -6,6 +6,7 @@ tells +0.0 from -0.0.
 """
 
 import importlib.util
+import json
 import math
 from itertools import combinations, product
 
@@ -26,6 +27,7 @@ from multiroot.deflation import (
     _pivot_residuals,
     deflation_sequence,
     newton_iterate,
+    singular_newton_step,
 )
 from multiroot.rank import (
     RankReport,
@@ -38,13 +40,17 @@ from multiroot.series import (
     AnalyticSystem,
     TruncatedSeries,
     _evaluate_padded,
+    _padded_layout,
+    _recenter_layout,
     jacobian_at,
+    recenter_series,
     recenter_system,
     system_evaluate,
     system_evaluate_many,
     ts_derivative,
     ts_evaluate,
     ts_recenter,
+    ts_truncate,
 )
 
 from conftest import REPO, kss, random_polynomial, random_system
@@ -248,10 +254,11 @@ class TestPivotResiduals:
 
         # The pivot choice over the same candidates, by the same rule.
         kmin = min(want)
-        band = kmin * (1.0 + 1e-3) + 1e-15 * float(np.linalg.norm(j0, 2))
+        scale = float(np.linalg.norm(j0, 2))
+        band = kmin * (1.0 + 1e-3) + 1e-15 * scale
         tied = [(p[1], p[0]) for p, k in zip(pairs, want) if k <= band]
         cols_ref, rows_ref = min(tied)
-        rows, cols, sigma_min = _kerneling_pivots(j0, values, r)
+        rows, cols, sigma_min = _kerneling_pivots(j0, values, r, scale)
         assert (rows, cols) == (rows_ref, cols_ref)
         # The search's batched sigma_min is the one-block SVD's, bit for bit.
         one_block = np.linalg.svd(j0[np.ix_(rows, cols)], compute_uv=False)[-1]
@@ -287,7 +294,7 @@ class TestExtraction:
             x0 = tuple(0.1 * rng.standard_normal(n))
             j0 = jacobian_at(f, x0)
             values = system_evaluate(f, x0)
-            _square, chosen, report = _extract_square_indexed(f, x0, j0, values)
+            _square, chosen, report, _point = _extract_square_indexed(f, x0, j0, values)
             assert (chosen, report) == reference_extraction(f, x0, j0)
 
     def test_benchmark_inputs(self, tmp_path):
@@ -307,7 +314,7 @@ class TestExtraction:
                 f = trace.steps[-2].system
                 j0 = jacobian_at(f, x0)
                 values = system_evaluate(f, x0)
-                _square, chosen, report = _extract_square_indexed(f, x0, j0, values)
+                _square, chosen, report, _point = _extract_square_indexed(f, x0, j0, values)
                 assert (chosen, report) == reference_extraction(f, x0, j0), path.stem
                 rounds += 1
         assert rounds >= len(paths)
@@ -467,3 +474,149 @@ class TestRecenter:
                         bits(list(got.coefficients.values())),
                         bits(list(want.coefficients.values())),
                     )
+
+
+def assert_same_series(got: TruncatedSeries, want: TruncatedSeries) -> None:
+    """Equal center and order, the same exponents in the same stored order,
+    and the same coefficient bits."""
+    assert (got.center, got.order) == (want.center, want.order)
+    assert list(got.coefficients) == list(want.coefficients)
+    assert np.array_equal(
+        bits(list(got.coefficients.values())), bits(list(want.coefficients.values()))
+    )
+
+
+def one_input_per_family(tmp_path) -> list:
+    """gy2's fixture and one family input (seed 802), as the CLI reads them."""
+    gen = _load_gen()
+    paths = [REPO / "fixtures" / "gy2.json"]
+    paths += [p for block in gen.family_inputs(tmp_path, 802, 1) for p in block]
+    return [parse_system(str(p)) for p in paths]
+
+
+class TestRecenterSeries:
+    """``recenter_series``, the one recentering kernel, against the per-term
+    expansion ``reference_recenter``."""
+
+    def test_family_systems_at_x0_and_at_their_iterates(self, tmp_path):
+        for system, point, options in one_input_per_family(tmp_path):
+            trajectory = newton_iterate(system, point, 3, options["backend"])
+            far = tuple(np.array(point) + 0.1)
+            for x in [*trajectory, far]:
+                got = recenter_system(system, x)
+                assert got.ball_center == got.center == tuple(map(complex, x))
+                for g, eq in zip(got.equations, system.equations, strict=True):
+                    assert_same_series(g, reference_recenter(eq, x, eq.order))
+
+    def test_parse_system(self, tmp_path):
+        """The parsed system is its polynomials, read at the origin,
+        recentered at the file's point."""
+        gen = _load_gen()
+        for path in [p for block in gen.family_inputs(tmp_path, 5, 1) for p in block]:
+            system, point, _options = parse_system(str(path))
+            data = json.loads(path.read_text())
+            data["point"] = [0.0] * system.dim
+            origin = tmp_path / "origin.json"
+            origin.write_text(json.dumps(data))
+            polynomials, _zero, options = parse_system(str(origin))
+            for got, full in zip(system.equations, polynomials.equations, strict=True):
+                assert_same_series(got, reference_recenter(full, point, options["order"]))
+
+    def test_mixed_orders_and_exact_zero_offsets(self):
+        rng = np.random.default_rng(15)
+        for n in (2, 3, 4):
+            center = tuple(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            fs = [random_polynomial(rng, n=n, degree=d, center=center) for d in (1, 4, 2, 3)]
+            # Highest degree first, and sparse: an output exponent's first
+            # contributions can be exact zeros, which do not place it.
+            backwards = list(fs[1].coefficients.items())[::-2]
+            fs += [TruncatedSeries(center, 4, dict(backwards)), TruncatedSeries(center, 2, {})]
+            for trial in range(6):
+                step = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 0)
+                # Some coordinates keep the old center exactly: delta_i = 0.
+                step[rng.random(n) < 0.4] = 0.0
+                if trial < 2:
+                    step[trial] = 0.0
+                new_center = tuple(np.array(center) + step)
+                orders = [int(rng.integers(0, f.order + 1)) for f in fs]
+                got = recenter_series(fs, new_center, orders)
+                for g, f, order in zip(got, fs, orders, strict=True):
+                    assert_same_series(g, reference_recenter(f, new_center, order))
+
+    def test_own_center(self):
+        rng = np.random.default_rng(16)
+        f = random_system(rng, n=3, s=4, degree=3)
+        assert recenter_system(f, f.center) is f
+        # A ball elsewhere moves with the series: a new system, equal series.
+        moved = AnalyticSystem(3, f.equations, (0.1, 0.0, 0.0), 1.0)
+        again = recenter_system(moved, f.center)
+        assert again is not moved and again.ball_center == f.center
+        for g, eq in zip(again.equations, f.equations, strict=True):
+            assert_same_series(g, eq)
+        for order in range(4):
+            for g, eq in zip(recenter_series(f.equations, f.center, [order] * 4), f.equations):
+                assert_same_series(g, ts_truncate(eq, order))
+
+    def test_inf_and_nan_coefficients(self):
+        """inf times an exact zero or one, and sums of opposite infinities,
+        give Python's NaNs and signed zeros; at the own center the series is
+        only truncated."""
+        center = (0.25, -0.5j, 1.0)
+        fs = [
+            TruncatedSeries(center, 3, {(1, 0, 0): math.inf, (0, 2, 0): 1.0 - 2.0j}),
+            TruncatedSeries(center, 3, {(0, 0, 0): math.nan, (1, 1, 1): complex(0.0, -math.inf)}),
+            TruncatedSeries(
+                center, 4, {(2, 0, 2): -math.inf, (2, 0, 1): math.inf, (0, 0, 1): 3.0}
+            ),
+        ]
+        for shift in [(0.5, 0.0, 0.0), (0.0, 0.0, -1e-3), (1e-3, 2e-3j, -3e-3)]:
+            new_center = tuple(np.array(center) + shift)
+            for order in (0, 2, 3):
+                got = recenter_series(fs, new_center, [order] * 3)
+                for g, f in zip(got, fs):
+                    assert_same_series(g, reference_recenter(f, new_center, order))
+        for g, f in zip(recenter_series(fs, center, [2, 2, 2]), fs):
+            assert_same_series(g, ts_truncate(f, 2))
+
+    def test_overflow_raises(self):
+        """(1e300)^2 in the factor table raises, as Python's power does."""
+        f = TruncatedSeries((0.0, 0.0), 3, {(2, 1): 1.0, (0, 0): 1.0})
+        with pytest.raises(OverflowError):
+            reference_recenter(f, (1e300, 0.0), 3)
+        with pytest.raises(OverflowError):
+            ts_recenter(f, (1e300, 0.0), 3)
+        with pytest.raises(OverflowError):
+            recenter_system(AnalyticSystem(2, (f, f), (0.0, 0.0), 1.0), (1e300, 1.0))
+
+    def test_layout_caches_are_bounded_and_read_only(self):
+        f = random_system(np.random.default_rng(17), n=2, s=2, degree=3)
+        recenter_system(f, (0.1, 0.2))
+        system_evaluate_many(f, [(0.1, 0.2)])
+        for cache in (_recenter_layout, _padded_layout):
+            assert cache.cache_info().maxsize == 64
+        patterns = tuple((eq.order, tuple(eq.coefficients)) for eq in f.equations)
+        layout = _recenter_layout(2, patterns)
+        with pytest.raises(ValueError):
+            layout.term[0] = 1
+
+
+class TestNewtonStep:
+    def test_step_is_newton_on_the_deflated_system(self, tmp_path):
+        """``singular_newton_step`` takes extraction's Newton point: x0 -
+        J^{-1} F(x0) of the deflated square system, bit for bit, at x0 and at
+        the later iterates."""
+        steps = 0
+        for system, point, options in one_input_per_family(tmp_path):
+            backend = options["backend"]
+            for x0 in newton_iterate(system, point, 3, backend):
+                got = singular_newton_step(system, x0, backend)
+                trace = deflation_sequence(recenter_system(system, x0), x0, backend)
+                if trace.deflated is None:
+                    assert got == x0
+                    continue
+                square = trace.deflated
+                delta = np.linalg.solve(jacobian_at(square, x0), system_evaluate(square, x0))
+                want = tuple(complex(a - b) for a, b in zip(x0, delta))
+                assert np.array_equal(bits(got), bits(want))
+                steps += 1
+        assert steps >= 9

@@ -20,7 +20,7 @@ from multiroot.bergman import (
 )
 from multiroot.certificates import singular_alpha_certificate
 from multiroot.cli import parse_system
-from multiroot.deflation import newton_iterate
+from multiroot.deflation import deflation_sequence, newton_iterate, truncated_deflation
 from multiroot.errors import DomainError
 from multiroot.series import (
     AnalyticSystem,
@@ -309,6 +309,46 @@ class TestNormOnce:
                 run()
                 assert computed, path.name
                 assert max(computed.values()) == 1, path.name
+
+    @staticmethod
+    def spied(patch) -> list:
+        """Every series whose norm is computed from now on, as (order,
+        stored terms)."""
+        seen = []
+        for name in ("_series_norm_complex", "_series_norm_slice_sq"):
+            def spy(f, ball, compute=getattr(bergman, name)):
+                seen.append((f.order, list(f.coefficients.items())))
+                return compute(f, ball)
+
+            patch.setattr(bergman, name, spy)
+        return seen
+
+    def test_newton_step_one_reuses_the_deflation_norms(self, monkeypatch, tmp_path):
+        """The parsed system is centered at x0 already, so Newton's step 1
+        runs on it, not on a recentered copy: no norm that a deflation run
+        kept with its equations is computed again."""
+        paths = [FIXTURES / "gy2.json", *GEN.family_inputs(tmp_path, 802, 1)[0]]
+        for path in paths:
+            f, x0, options = parse_system(str(path))
+            backend = options["backend"]
+            deflation_sequence(f, x0, backend)
+            kept = [(eq.order, list(eq.coefficients.items())) for eq in f.equations if eq._norm]
+            assert kept, path.name
+            with monkeypatch.context() as patch:
+                seen = self.spied(patch)
+                newton_iterate(f, x0, 1, backend)
+            assert not [key for key in seen if key in kept], path.name
+
+    def test_truncated_deflation_keeps_equations_within_the_order(self, monkeypatch):
+        """gy2 at ell = 1: a selected equation already within the round's
+        order is kept with its norm, so each of the 10 distinct series is
+        normed once."""
+        f, x0, options = parse_system(str(FIXTURES / "gy2.json"))
+        with monkeypatch.context() as patch:
+            seen = self.spied(patch)
+            truncated_deflation(f, x0, 1, options["backend"])
+        assert len(seen) == 10
+        assert len({repr(key) for key in seen}) == 10
 
     def test_each_ball_and_backend_its_own(self):
         rng = np.random.default_rng(29)

@@ -128,6 +128,43 @@ class TestParseSystem:
             parse_system(path)
 
 
+# DZ2 (Dayton and Zeng, ISSAC 2005): x^4, x^2 y + y^4, z + z^2 - 7x^3 - 8x^2,
+# root (0, 0, -1), degree 4; the point lies 2.7e-5 from the root.
+DZ2 = {
+    "vars": ["x", "y", "z"],
+    "equations": [
+        [[1.0, [4, 0, 0]]],
+        [[1.0, [2, 1, 0]], [1.0, [0, 4, 0]]],
+        [[1.0, [0, 0, 1]], [1.0, [0, 0, 2]], [-7.0, [3, 0, 0]], [-8.0, [2, 0, 0]]],
+    ],
+    "point": [1.6e-5, -1.28e-5, -1.0 + 1.7066e-5],
+    "radius": 1.0,
+}
+
+
+class TestDefaultOrder:
+    """Without an order the input's degree is the order, so nothing the input
+    lists is truncated away; an explicit order still truncates."""
+
+    def test_order_is_the_degree(self, tmp_path):
+        system, _point, options = parse_system(write_json(tmp_path, "dz2.json", DZ2))
+        assert options["order"] == 4
+        assert [eq.order for eq in system.equations] == [4, 4, 4]
+        assert system.equations[0].coefficient((4, 0, 0)) == 1.0
+
+    def test_dz2_no_longer_certifies(self, capsys, tmp_path):
+        path = write_json(tmp_path, "dz2.json", DZ2)
+        code, out, _ = run_cli(capsys, "certify", "--input", path)
+        report = json.loads(out)
+        assert code == 0 and report["alpha_ok"] is False and report["theta_low"] is None
+        assert report["notes"][0].startswith("hypothesis 1.1 failed at k=1:")
+        # The same at the degree given explicitly; order 3 drops x^4 and
+        # certifies the truncated system, as before.
+        assert run_cli(capsys, "certify", "--input", path, "--order", "4")[1] == out
+        code, out, _ = run_cli(capsys, "certify", "--input", path, "--order", "3")
+        assert code == 0 and json.loads(out)["alpha_ok"] is True
+
+
 def _gy2_with(**fields):
     data = json.loads(Path(GY2).read_text())
     data.update(fields)

@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from multiroot import deflation
 from multiroot.bergman import COMPLEX_EXACT, BallContext
 from multiroot.certificates import singular_alpha_certificate
+from multiroot.cli import parse_system
 from multiroot.deflation import (
     _EXTRACT_BRUTE_LIMIT,
     _PIVOT_BRUTE_LIMIT,
@@ -26,6 +28,7 @@ from multiroot.deflation import (
 from multiroot.errors import (
     DomainError,
     ExtractionError,
+    HypothesisFailure,
     RankDeficiencyError,
     TruncationExhaustedError,
 )
@@ -239,7 +242,9 @@ class TestKernelingPivots:
         rng = np.random.default_rng(17)
         j0 = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 6))
         assert math.comb(12, 3) * math.comb(6, 3) > _PIVOT_BRUTE_LIMIT
-        rows, cols, sigma_min = _kerneling_pivots(j0, rng.standard_normal(12), 3)
+        rows, cols, sigma_min = _kerneling_pivots(
+            j0, rng.standard_normal(12), 3, float(np.linalg.norm(j0, 2))
+        )
         assert len(set(rows)) == 3 and len(set(cols)) == 3
         block = j0[np.ix_(rows, cols)]
         assert singular_values(block, np.linalg.norm(j0, 2))[-1] > 0.0
@@ -250,7 +255,7 @@ class TestKernelingPivots:
         # exactly: the values are zero and both leave the Schur complement
         # 1 - 0 * 0 / 1 = 1.  The smaller column wins, before the smaller row.
         j0 = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert _kerneling_pivots(j0, np.zeros(2, dtype=complex), 1) == ((1,), (0,), 1.0)
+        assert _kerneling_pivots(j0, np.zeros(2, dtype=complex), 1, 1.0) == ((1,), (0,), 1.0)
 
 
 class TestKernelOp:
@@ -723,3 +728,34 @@ class TestTwoByTwoPivot:
         f = recentered(self.EQUATIONS, self.X0)
         traj = newton_iterate(f, self.X0, 4, COMPLEX_EXACT)
         assert max(abs(v) for v in traj[-1]) <= 1e-15
+
+
+class TestNoReferenceCycles:
+    """Each operation frees what it built when it returns: with the cyclic
+    garbage collector off, a collection afterwards finds nothing."""
+
+    def test_each_operation(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+        import gen
+
+        paths = [REPO / "fixtures" / "gy2.json"]
+        paths += [p for block in gen.family_inputs(tmp_path, 802, 1) for p in block]
+        gc.collect()
+        gc.disable()
+        try:
+            for path in paths:
+                f, x0, options = parse_system(str(path))
+                backend = options["backend"]
+                assert gc.collect() == 0, path.stem
+                for name, op in [
+                    ("deflate", lambda: deflation_sequence(f, x0, backend)),
+                    ("solve", lambda: newton_iterate(f, x0, 4, backend)),
+                    ("certify", lambda: singular_alpha_certificate(f, x0, backend)),
+                ]:
+                    try:
+                        op()
+                    except HypothesisFailure:
+                        pass  # a raised hypothesis failure is an outcome too
+                    assert gc.collect() == 0, (path.stem, name)
+        finally:
+            gc.enable()

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from multiroot.cli import main
+from multiroot.cli import main, parse_system
 
 from conftest import FIXTURES, REPO
 
@@ -39,7 +39,17 @@ def test_one_point_per_family(one_point_per_family, capsys):
         r["input"] + "@appendix" for r in records[:8]
     ]
     assert len({r["input"] for r in records}) == len(records)
-    assert all(set(r) == {"input", "trace", "iterates", "certificate"} for r in records)
+    assert all(
+        set(r) == {"input", "parsed", "trace", "iterates", "certificate"} for r in records
+    )
+    # The parsed coefficients, in stored order, read back from float.hex.
+    gy2 = next(r for r in records if r["input"] == "gy2_000")
+    system, _point, _options = parse_system(str(FIXTURES / "gy2.json"))
+    assert [
+        (eq["order"], [(tuple(a), complex(float.fromhex(re), float.fromhex(im)))
+                       for a, re, im in eq["terms"]])
+        for eq in gy2["parsed"]
+    ] == [(eq.order, list(eq.coefficients.items())) for eq in system.equations]
     # The generated gy2 point 0 is the fixture: its trace is the deflate report.
     assert main(["deflate", "--input", str(FIXTURES / "gy2.json")]) == 0
     fixture = next(r for r in records if r["input"] == "gy2_000")

@@ -132,7 +132,9 @@ def first_kerneled(f, x0, backend):
     report = numerical_rank(j0)
     if not 0 < report.rank < f.dim:
         return None
-    rows, cols, _sigma_min = _kerneling_pivots(j0, system_evaluate(selected, x0), report.rank)
+    rows, cols, _sigma_min = _kerneling_pivots(
+        j0, system_evaluate(selected, x0), report.rank, report.sigma[0]
+    )
     return kernel_op(selected, (rows, cols))
 
 
