@@ -40,7 +40,6 @@ from .deflation import (
     is_small,
     kernel_op,
     newton_iterate,
-    pivot_selection,
     singular_newton_step,
     truncated_deflation,
 )

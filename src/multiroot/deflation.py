@@ -22,8 +22,9 @@ The pipeline, for a point x0 near a multiple root:
    indices; the rank and x0 enter through the pivot choice.
 3. Steps 1-2 repeat until the Jacobian reaches full numerical rank; a square
    system of full rank is then extracted, by one search over the n-subsets
-   of equations (greedy pivoting beyond a size cap).  The number of
-   kerneling rounds is the *thickness* of the sequence.
+   of equations.  Both searches are exhaustive; one with more candidates
+   than its cap fails, naming the count.  The number of kerneling rounds is
+   the *thickness* of the sequence.
 
 Classical Newton on the extracted square system is the singular Newton
 operator of the original system.  Extraction already solves J_S delta =
@@ -57,7 +58,6 @@ from .rank import (
     full_rank_mask,
     numerical_rank,
     rank_from_singular_values,
-    rounding_floor,
     singular_values,
 )
 from .schur import jacobian_schur
@@ -87,7 +87,6 @@ __all__ = [
     "eta_threshold",
     "is_small",
     "select_detailed",
-    "pivot_selection",
     "kernel_op",
     "deflation_sequence",
     "truncated_deflation",
@@ -103,9 +102,12 @@ __all__ = [
 ALPHA0 = 0.130716944352002
 
 _STAGNATION_RTOL = 1e-15
-# Caps on the candidates of the exhaustive pivot-block and extraction
-# searches; beyond them greedy complete pivoting (``pivot_selection``) picks
-# the pivot block, or the equations from the transposed Jacobian.
+# Cost caps on the candidates of the pivot-block and extraction searches,
+# each one batched pass.  Just below each cap (Intel Xeon, median of 7, peak
+# by tracemalloc): 1,680 pivot blocks (9 x 6, rank 3) take ~15 ms and 2.9 MB;
+# 4,950 subsets (100 x 2, all admitted) take ~107 ms and 61 MB.  The cap
+# counts candidates, not their size: 2,000 blocks of a 50 x 40 rank-1
+# Jacobian, each with a 49 x 39 Schur complement, take ~310 ms and 188 MB.
 _PIVOT_BRUTE_LIMIT = 2000
 _EXTRACT_BRUTE_LIMIT = 5000
 
@@ -389,48 +391,6 @@ def select_detailed(
     return system, tuple(rec for _, rec, _ in retained)
 
 
-def pivot_selection(j0, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Index sets of a well-conditioned r x r pivot block of a numeric matrix.
-
-    Greedy complete pivoting: repeatedly take the entry of largest magnitude
-    (ties broken by smallest column, then smallest row) and eliminate.  A
-    deterministic replacement for the usual "assume the leading r rows and
-    columns work" convention.
-    """
-    j0 = np.atleast_2d(np.asarray(j0, dtype=complex))
-    rows, cols = j0.shape
-    if not 1 <= r <= min(rows, cols):
-        raise DomainError(f"pivot count r={r} out of range for {rows}x{cols}")
-    scale = float(np.linalg.norm(j0, 2))
-    work = j0.copy()
-    avail_rows = list(range(rows))
-    avail_cols = list(range(cols))
-    row_idx: list[int] = []
-    col_idx: list[int] = []
-    for _ in range(r):
-        best = None
-        for j in avail_cols:
-            for i in avail_rows:
-                mag = abs(work[i, j])
-                if best is None or mag > best[0]:
-                    best = (mag, i, j)
-        mag, pi, pj = best
-        if mag <= rounding_floor(j0.shape, scale):
-            raise RankDeficiencyError(
-                f"pivot magnitude {mag:.3e} at the rounding floor of ||J|| while "
-                f"seeking rank {r}"
-            )
-        row_idx.append(pi)
-        col_idx.append(pj)
-        avail_rows.remove(pi)
-        avail_cols.remove(pj)
-        for i in avail_rows:
-            factor = work[i, pj] / work[pi, pj]
-            if factor != 0:
-                work[i, :] -= factor * work[pi, :]
-    return tuple(row_idx), tuple(col_idx)
-
-
 def _pivot_residuals(
     j0: np.ndarray, values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     other_rows: np.ndarray, other_cols: np.ndarray,
@@ -484,15 +444,18 @@ def _kerneling_pivots(
     Among all nonsingular r x r pivot blocks, take the one minimizing the
     kerneling residual ||K(f)(x0)|| (the quantity the kerneling acceptance
     inequality tests).  Candidates within 0.1% of the best are tied and
-    resolved by smallest column indices, then smallest row indices.  Falls
-    back to greedy complete pivoting when the search space is large.
-    sigma_min is the block's smallest singular value: the brute-force
-    search's own, which the one-block SVD reproduces bit for bit.
+    resolved by smallest column indices, then smallest row indices.
+    sigma_min is the block's smallest singular value.  More candidate blocks
+    than ``_PIVOT_BRUTE_LIMIT`` raise ``RankDeficiencyError`` naming the
+    count.
     """
     s, n = j0.shape
-    if math.comb(s, r) * math.comb(n, r) > _PIVOT_BRUTE_LIMIT:
-        rows, cols = pivot_selection(j0, r)
-        return rows, cols, float(np.linalg.svd(j0[np.ix_(rows, cols)], compute_uv=False)[-1])
+    count = math.comb(s, r) * math.comb(n, r)
+    if count > _PIVOT_BRUTE_LIMIT:
+        raise RankDeficiencyError(
+            f"{count} candidate {r}x{r} pivot blocks exceed the search cap of "
+            f"{_PIVOT_BRUTE_LIMIT}"
+        )
     row_sets, rows_a = _subsets(s, r)
     col_sets, cols_a = _subsets(n, r)
     # Every candidate block at once: blocks[i, j] = j0[row_sets[i]][:, col_sets[j]].
@@ -546,55 +509,48 @@ def _extract_square_indexed(
     and f's values at x0: (square system, its equation indices, its rank
     report, its Newton point x0 - J_S^{-1} F_S(x0))."""
     n = f.dim
-    s = f.size
-    x0a = np.array([complex(t) for t in x0])
-    if math.comb(s, n) <= _EXTRACT_BRUTE_LIMIT:
-        _sets, combos = _subsets(s, n)
-        sigmas = singular_values(j0[combos])
-        full = full_rank_mask(sigmas)
-        admitted, sigmas = combos[full], sigmas[full]
-        if not len(admitted):
-            raise ExtractionError("no equation subset achieves full numerical rank")
-        # A full-rank report certifies sigma_n > 0, so the solves succeed.
-        # Each admitted subset's Newton point, and every equation at all of them.
-        delta = np.linalg.solve(j0[admitted], values[admitted][..., None])[..., 0]
-        points = x0a - delta
-        at_points = system_evaluate_many(f, points)
-        # The batched norms differ from the per-row ones by about s eps
-        # relative, so every subset that can tie the smallest exact residual
-        # lies within 1e-12 of the smallest estimate; with a NaN among them
-        # every subset is compared.
-        estimate = np.linalg.norm(at_points, axis=1)
-        near = (
-            np.arange(len(admitted)) if np.isnan(estimate).any()
-            else np.flatnonzero(estimate <= estimate.min() * (1.0 + 1e-12))
+    count = math.comb(f.size, n)
+    if count > _EXTRACT_BRUTE_LIMIT:
+        raise ExtractionError(
+            f"{count} candidate equation subsets exceed the search cap of "
+            f"{_EXTRACT_BRUTE_LIMIT}"
         )
-        _residual, chosen, best = min(
-            (float(np.linalg.norm(at_points[k])), tuple(int(i) for i in admitted[k]), k)
-            for k in near.tolist()
-        )
-        report = rank_from_singular_values(sigmas[best])
-        point = points[best]
-    else:
-        # Pivot columns of the transpose are well-conditioned equation rows.
-        _rows, cols = pivot_selection(j0.T, n)
-        chosen = tuple(sorted(cols))
-        report = numerical_rank(j0[list(chosen), :])
-        if report.rank < n:
-            raise ExtractionError("no equation subset achieves full numerical rank")
-        point = x0a - np.linalg.solve(j0[list(chosen), :], values[list(chosen)])
+    _sets, combos = _subsets(f.size, n)
+    sigmas = singular_values(j0[combos])
+    full = full_rank_mask(sigmas)
+    admitted, sigmas = combos[full], sigmas[full]
+    if not len(admitted):
+        raise ExtractionError("no equation subset achieves full numerical rank")
+    # A full-rank report certifies sigma_n > 0, so the solves succeed.
+    # Each admitted subset's Newton point, and every equation at all of them.
+    delta = np.linalg.solve(j0[admitted], values[admitted][..., None])[..., 0]
+    points = np.array([complex(t) for t in x0]) - delta
+    at_points = system_evaluate_many(f, points)
+    # The batched norms differ from the per-row ones by about s eps
+    # relative, so every subset that can tie the smallest exact residual
+    # lies within 1e-12 of the smallest estimate; with a NaN among them
+    # every subset is compared.
+    estimate = np.linalg.norm(at_points, axis=1)
+    near = (
+        np.arange(len(admitted)) if np.isnan(estimate).any()
+        else np.flatnonzero(estimate <= estimate.min() * (1.0 + 1e-12))
+    )
+    _residual, chosen, best = min(
+        (float(np.linalg.norm(at_points[k])), tuple(int(i) for i in admitted[k]), k)
+        for k in near.tolist()
+    )
     square = f._with(f.equations[i] for i in chosen)
-    return square, chosen, report, tuple(point.tolist())
+    return square, chosen, rank_from_singular_values(sigmas[best]), tuple(points[best].tolist())
 
 
 def extract_square(f: AnalyticSystem, x0: Sequence[complex]) -> AnalyticSystem:
     """A square subsystem whose Jacobian at x0 has full numerical rank.
 
-    Among all n-subsets of equations (brute force while feasible), those the
-    threshold-free rank test reads as full rank are admitted; of these, the
-    subset whose Newton point best satisfies the whole system is taken, in
-    ascending equation order.  Beyond the brute-force limit, greedy complete
-    pivoting on the transposed Jacobian picks the equations.
+    Among all n-subsets of equations, those the threshold-free rank test
+    reads as full rank are admitted; of these, the subset whose Newton point
+    best satisfies the whole system is taken, in ascending equation order.
+    More subsets than ``_EXTRACT_BRUTE_LIMIT`` raise ``ExtractionError``
+    naming the count.
     """
     j0 = jacobian_at(f, x0)
     overall = numerical_rank(j0)

@@ -2,9 +2,9 @@
 
 A deflation run never raises a ``HypothesisFailure``: it names the failure in
 its trace's ``failure`` and stops.  The public helpers it calls
-(``select_detailed``, ``pivot_selection``, ``kernel_op``,
-``extract_square``) still raise one when called directly.  Malformed input
-(``StructuralError``, ``DomainError``, ``ParseError``) always raises.
+(``select_detailed``, ``kernel_op``, ``extract_square``) still raise one when
+called directly.  Malformed input (``StructuralError``, ``DomainError``,
+``ParseError``) always raises.
 
 The CLI exits 2 on a failed hypothesis (``deflate`` names it in ``failure``)
 and 3 on any other ``MultirootError``, which well-posed input does not reach,
@@ -33,7 +33,8 @@ class SingularPivotError(HypothesisFailure):
 
 
 class RankDeficiencyError(HypothesisFailure):
-    """A pivot search contradicts the rank certified for the matrix."""
+    """A pivot search finds no block for the rank certified for the matrix,
+    or its candidates exceed the search cap."""
 
 
 class TruncationExhaustedError(HypothesisFailure):
@@ -41,7 +42,8 @@ class TruncationExhaustedError(HypothesisFailure):
 
 
 class ExtractionError(HypothesisFailure):
-    """No square subsystem of full numerical rank could be extracted."""
+    """No square subsystem of full numerical rank could be extracted, or the
+    candidate subsets exceed the search cap."""
 
 
 class CertificateUnavailableError(MultirootError):

@@ -22,7 +22,12 @@ from multiroot.certificates import (
     point_quantities,
     rank_stability_radius,
 )
-from multiroot.deflation import kernel_op, newton_iterate, pivot_selection, truncated_deflation
+from multiroot.deflation import (
+    _kerneling_pivots,
+    kernel_op,
+    newton_iterate,
+    truncated_deflation,
+)
 from multiroot.rank import numerical_rank, singular_values
 from multiroot.series import (
     AnalyticSystem,
@@ -263,7 +268,7 @@ def test_criterion_7d_schur_of_rank_r_is_zero():
         m = (rng.standard_normal((s, r)) + 1j * rng.standard_normal((s, r))) @ (
             rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
         )
-        rows, cols = pivot_selection(m, r)
+        rows, cols, _smin = _kerneling_pivots(m, np.zeros(s), r, np.linalg.norm(m, 2))
         schur = kernel_op(linear_system(m), (rows, cols)).equations[r:]
         scale = float(np.abs(m).max())
         resid = max(

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from multiroot.bergman import COMPLEX_EXACT, BallContext, kappa
+from multiroot.bergman import APPENDIX_SLICE, COMPLEX_EXACT, BallContext, kappa
 from multiroot.certificates import (
     alpha_certificate,
     deflated_gamma_bound,
@@ -37,6 +37,15 @@ def linear_golden_system():
         TruncatedSeries(C2, 1, {(1, 0): 4.0, (0, 1): -4.0}),
     )
     return AnalyticSystem(2, eqs, C2, 1.0)
+
+
+def identity_system(radius):
+    """(x, y) at order 2 on B(0, radius): J = I, so mu = 1 at the origin."""
+    eqs = (
+        TruncatedSeries(C2, 2, {(1, 0): 1.0}),
+        TruncatedSeries(C2, 2, {(0, 1): 1.0}),
+    )
+    return AnalyticSystem(2, eqs, C2, radius)
 
 
 def exact_selected_f0():
@@ -98,6 +107,20 @@ class TestPointQuantities:
         assert qs.mu == pytest.approx(q.mu / 3.0, rel=1e-12)
         assert qs.lam * qs.mu == pytest.approx(q.lam * q.mu, rel=1e-12)
         assert qs.gamma == pytest.approx(q.gamma, rel=1e-12)
+
+    def test_gamma_is_at_least_one(self):
+        # R = 2: kappa = 3/2 and the slice lambda is 0.5642, so
+        # lambda kappa mu = 0.846 < 1 and gamma is the floor 1.
+        q = point_quantities(identity_system(2.0), C2, APPENDIX_SLICE)
+        assert (q.kappa, q.mu) == (1.5, 1.0)
+        assert q.lam * q.kappa * q.mu == pytest.approx(0.8463, rel=1e-4)
+        assert q.gamma == 1.0
+
+    def test_kappa_is_at_least_one(self):
+        # R = 5 > n + 1: (n + 1) / (R (1 - nu^2)) = 3/5 at the center, so
+        # kappa is the floor 1.
+        q = point_quantities(identity_system(5.0), C2, APPENDIX_SLICE)
+        assert q.kappa == 1.0
 
     def test_singular_jacobian_rejected(self):
         eqs = (

@@ -164,6 +164,21 @@ class TestDefaultOrder:
         code, out, _ = run_cli(capsys, "certify", "--input", path, "--order", "3")
         assert code == 0 and json.loads(out)["alpha_ok"] is True
 
+    def test_gy2_above_its_degree(self, capsys):
+        # A characterisation, not a requirement: above gy2's degree 3
+        # the kerneled equations keep order 2 and extraction keeps other
+        # equations, so orders 4, 5 and 6 agree bit for bit with each other
+        # and not with the order-3 golden.
+        runs = {
+            order: run_cli(capsys, "solve", "--input", GY2, "--steps", "2", "--order", order)
+            for order in ("3", "4", "5", "6")
+        }
+        assert all(code == 0 for code, _out, _err in runs.values())
+        assert runs["4"][1] == runs["5"][1] == runs["6"][1] != runs["3"][1]
+        first = {order: json.loads(out)["iterates"][1] for order, (_c, out, _e) in runs.items()}
+        assert first["3"] == [[1.523108563866466e-07, 0.0], [-4.5262855717903127e-07, 0.0]]
+        assert first["4"] == [[-2.9982010789028103e-07, 0.0], [-4.4994390158148434e-17, 0.0]]
+
 
 def _gy2_with(**fields):
     data = json.loads(Path(GY2).read_text())
@@ -429,6 +444,24 @@ class TestFailedHypothesis:
         code, out, _ = run_cli(capsys, "deflate", "--input", path)
         assert code == 2
         assert json.loads(out)["failure"] == payload["failure"]
+
+    def test_extraction_past_the_search_cap(self, capsys, tmp_path):
+        # x + (k/100) y for k = 0..100: comb(101, 2) = 5050 candidate subsets.
+        path = write_json(
+            tmp_path,
+            "wide.json",
+            {"vars": ["x", "y"],
+             "equations": [[[1.0, [1, 0]], [k / 100, [0, 1]]] for k in range(101)],
+             "point": [0, 0], "radius": 1.0, "norm_backend": "complex"},
+        )
+        code, out, _ = run_cli(capsys, "deflate", "--input", path)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["deflated"] is None
+        assert payload["failure"] == (
+            "ExtractionError at k=0: 5050 candidate equation subsets exceed the "
+            "search cap of 5000"
+        )
 
     @pytest.mark.parametrize("point", [KSS4_004, KSS4_007], ids=["kss4_004", "kss4_007"])
     def test_solve_near_the_root(self, capsys, tmp_path, point):

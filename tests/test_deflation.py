@@ -20,7 +20,6 @@ from multiroot.deflation import (
     is_small,
     kernel_op,
     newton_iterate,
-    pivot_selection,
     select_detailed,
     singular_newton_step,
     truncated_deflation,
@@ -51,11 +50,21 @@ from conftest import (
     assert_system_multiset,
     gy2_at,
     kss,
+    linear_system,
     ojika1,
     recentered,
 )
 
 C2 = (0.0, 0.0)
+
+# 12 x 6 of rank 3: more candidate pivot blocks than the search cap.
+_rng = np.random.default_rng(17)
+PAST_PIVOT_CAP = _rng.standard_normal((12, 3)) @ _rng.standard_normal((3, 6))
+# 101 x 2 of full rank: more candidate equation subsets than the search cap.
+PAST_EXTRACT_CAP = np.array([
+    [1.0 + 0.01 * k, 0.02 * k] if k % 2 else [-0.02 * k, 1.0 + 0.01 * k]
+    for k in range(101)
+])
 
 
 def regular_system(point=(0.4995, 0.5005)):
@@ -213,42 +222,39 @@ class TestSelect:
             select_detailed(f, C2, COMPLEX_EXACT)
 
 
-class TestPivotSelection:
-    def test_identity(self):
-        rows, cols = pivot_selection(np.eye(3), 3)
-        assert rows == (0, 1, 2)
-        assert cols == (0, 1, 2)
-
-    def test_worked_example_magnitude(self, gy2_selected):
-        selected, _r, point, _b = gy2_selected
-        j0 = jacobian_at(selected, point)
-        rows, cols = pivot_selection(j0, 1)
-        assert abs(j0[rows[0], cols[0]]) == pytest.approx(2.0012, rel=1e-3)
-
-    def test_avoids_zero_column(self):
-        m = np.array([[0.0, 1.0], [0.0, 2.0]])
-        _rows, cols = pivot_selection(m, 1)
-        assert cols[0] == 1
-
-    def test_rank_deficiency_detected(self):
-        with pytest.raises(RankDeficiencyError):
-            pivot_selection(np.array([[1.0, 1.0], [1.0, 1.0]]), 2)
-
-
 class TestKernelingPivots:
     def test_greedy_fallback_block_is_nonsingular(self):
         # 12 x 6 of rank 3: comb(12, 3) * comb(6, 3) = 4400 candidate blocks,
-        # past the brute-force cap, so greedy complete pivoting picks them.
-        rng = np.random.default_rng(17)
-        j0 = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 6))
-        assert math.comb(12, 3) * math.comb(6, 3) > _PIVOT_BRUTE_LIMIT
-        rows, cols, sigma_min = _kerneling_pivots(
-            j0, rng.standard_normal(12), 3, float(np.linalg.norm(j0, 2))
+        # past the search cap.  The search reports the count; it picks no
+        # block by another rule.
+        j0 = PAST_PIVOT_CAP
+        assert math.comb(12, 3) * math.comb(6, 3) == 4400 > _PIVOT_BRUTE_LIMIT
+        with pytest.raises(RankDeficiencyError) as err:
+            _kerneling_pivots(j0, np.zeros(12), 3, float(np.linalg.norm(j0, 2)))
+        assert str(err.value) == (
+            "4400 candidate 3x3 pivot blocks exceed the search cap of 2000"
         )
-        assert len(set(rows)) == 3 and len(set(cols)) == 3
-        block = j0[np.ix_(rows, cols)]
-        assert singular_values(block, np.linalg.norm(j0, 2))[-1] > 0.0
-        assert sigma_min == np.linalg.svd(block, compute_uv=False)[-1]
+
+    def test_past_the_cap_the_run_reports(self):
+        trace = deflation_sequence(linear_system(PAST_PIVOT_CAP), (0.0,) * 6, COMPLEX_EXACT)
+        assert trace.deflated is None
+        assert trace.failure == (
+            "RankDeficiencyError at k=0: 4400 candidate 3x3 pivot blocks exceed "
+            "the search cap of 2000"
+        )
+        assert trace.steps[-1].rank_report.rank == 3
+        assert trace.steps[-1].pivot_rows is None
+
+    def test_a_search_at_its_cap_runs(self, monkeypatch):
+        # 3 x 2 of rank 1: comb(3, 1) * comb(2, 1) = 6 candidate blocks.
+        j0 = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], dtype=complex)
+        monkeypatch.setattr(deflation, "_PIVOT_BRUTE_LIMIT", 6)
+        assert _kerneling_pivots(j0, np.zeros(3), 1, float(np.linalg.norm(j0, 2)))[:2] == (
+            (0,), (0,)
+        )
+        monkeypatch.setattr(deflation, "_PIVOT_BRUTE_LIMIT", 5)
+        with pytest.raises(RankDeficiencyError, match="^6 candidate 1x1 pivot blocks exceed"):
+            _kerneling_pivots(j0, np.zeros(3), 1, float(np.linalg.norm(j0, 2)))
 
     def test_exact_tie_goes_to_the_smaller_column(self):
         # The nonsingular 1 x 1 blocks (row 0, col 1) and (row 1, col 0) tie
@@ -428,20 +434,35 @@ class TestExtractSquare:
             extract_square(f, C2)
 
     def test_many_subsets_use_pivoting(self):
-        # 101 equations give comb(101, 2) = 5050 subsets, past brute force;
-        # gradients alternate between near-x and near-y directions
-        eqs = []
-        for k in range(101):
-            if k % 2:
-                coeffs = {(1, 0): 1.0 + 0.01 * k, (0, 1): 0.02 * k}
-            else:
-                coeffs = {(0, 1): 1.0 + 0.01 * k, (1, 0): -0.02 * k}
-            eqs.append(TruncatedSeries(C2, 1, coeffs))
-        f = AnalyticSystem(2, tuple(eqs), C2, 1.0)
-        assert math.comb(f.size, 2) > _EXTRACT_BRUTE_LIMIT
-        square = extract_square(f, C2)
-        assert square.size == 2
-        assert numerical_rank(jacobian_at(square, C2)).full_rank
+        # 101 equations give comb(101, 2) = 5050 subsets, past the search
+        # cap.  Extraction reports the count; it picks no subset by another
+        # rule.
+        f = linear_system(PAST_EXTRACT_CAP)
+        assert math.comb(f.size, 2) == 5050 > _EXTRACT_BRUTE_LIMIT
+        with pytest.raises(ExtractionError) as err:
+            extract_square(f, C2)
+        assert str(err.value) == (
+            "5050 candidate equation subsets exceed the search cap of 5000"
+        )
+
+    def test_a_search_at_its_cap_runs(self, monkeypatch):
+        # 4 equations give comb(4, 2) = 6 candidate subsets.
+        f = linear_system(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]]))
+        monkeypatch.setattr(deflation, "_EXTRACT_BRUTE_LIMIT", 6)
+        assert extract_square(f, C2).size == 2
+        monkeypatch.setattr(deflation, "_EXTRACT_BRUTE_LIMIT", 5)
+        with pytest.raises(ExtractionError, match="^6 candidate equation subsets exceed"):
+            extract_square(f, C2)
+
+    def test_past_the_cap_the_run_reports(self):
+        trace = deflation_sequence(linear_system(PAST_EXTRACT_CAP), C2, COMPLEX_EXACT)
+        assert trace.deflated is None and trace.thickness == 0
+        assert trace.failure == (
+            "ExtractionError at k=0: 5050 candidate equation subsets exceed the "
+            "search cap of 5000"
+        )
+        assert trace.steps[-1].rank_report.full_rank
+        assert trace.steps[-1].pivot_rows is None
 
 
 def griewank_osborne(x0):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multiroot.deflation import kernel_op, pivot_selection
+from multiroot.deflation import _kerneling_pivots, kernel_op
 from multiroot.errors import SingularPivotError, StructuralError
 from multiroot.series import (
     AnalyticSystem,
@@ -181,7 +181,7 @@ class TestSchurComplement:
                 rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
             )
             f = linear_system(m)
-            rows, cols = pivot_selection(m, r)
+            rows, cols, _smin = _kerneling_pivots(m, np.zeros(s), r, np.linalg.norm(m, 2))
             schur = kernel_op(f, (rows, cols)).equations[r:]
             assert len(schur) == (s - r) * (n - r)
             scale = np.abs(m).max()
