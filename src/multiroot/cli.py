@@ -31,11 +31,18 @@ double precision.  ``deflate`` exits 2 with its trace, whose
 in the same wording when the selection fails; ``certify`` exits 0 and lists
 it in ``notes``; ``solve`` stops at the point where a hypothesis fails and
 exits 0.
+
+A report object is its record's fields, with tuples as lists and ``lam``
+as ``lambda``: ``rank`` prints a ``RankReport``, ``certify`` a
+``CertificateReport`` (its ``quantities`` a ``PointQuantities``) plus the
+trace's ``thickness``, and a ``deflate`` step's ``gate``, ``rank`` and
+``provenance`` are a ``SmallnessGate``, a ``RankReport`` and ``SelectionRecord``s.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -52,7 +59,7 @@ from .deflation import (
     select_detailed,
 )
 from .errors import HypothesisFailure, MultirootError, ParseError
-from .rank import RankReport, numerical_rank
+from .rank import numerical_rank
 from .series import AnalyticSystem, TruncatedSeries, jacobian_at, recenter_series
 
 __all__ = ["main", "parse_system", "build_trace_report"]
@@ -197,18 +204,20 @@ def _series_dict(f: TruncatedSeries) -> dict:
     }
 
 
-def _rank_dict(report: RankReport) -> dict:
-    return {
-        "sigma": list(report.sigma),
-        "s": list(report.s),
-        "b": list(report.b),
-        "g": list(report.g),
-        "a": list(report.a),
-        "m": report.m,
-        "rank": report.rank,
-        "epsilon": report.epsilon,
-        "full_rank": report.full_rank,
-    }
+def _fields(record: Any) -> dict | None:
+    """A record (or None) as JSON: its dataclass fields by name, tuples as
+    lists, a nested record as its own fields and ``lam`` as "lambda"."""
+    if record is None:
+        return None
+    payload = {}
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, tuple):
+            value = list(value)
+        elif dataclasses.is_dataclass(value):
+            value = _fields(value)
+        payload["lambda" if field.name == "lam" else field.name] = value
+    return payload
 
 
 def build_trace_report(trace: DeflationTrace) -> dict:
@@ -219,20 +228,11 @@ def build_trace_report(trace: DeflationTrace) -> dict:
             {
                 "kind": step.kind,
                 "equations": [_series_dict(eq) for eq in step.system.equations],
-                "gate": None
-                if step.gate is None
-                else {
-                    "eta": step.gate.eta,
-                    "value_norm": step.gate.value_norm,
-                    "passed": step.gate.passed,
-                },
-                "rank": None if step.rank_report is None else _rank_dict(step.rank_report),
+                "gate": _fields(step.gate),
+                "rank": _fields(step.rank_report),
                 "pivot_rows": None if step.pivot_rows is None else list(step.pivot_rows),
                 "pivot_cols": None if step.pivot_cols is None else list(step.pivot_cols),
-                "provenance": [
-                    {"source": rec.source, "derivative": list(rec.derivative)}
-                    for rec in step.provenance
-                ],
+                "provenance": [_fields(rec) for rec in step.provenance],
                 "mu": step.mu,
             }
         )
@@ -286,7 +286,7 @@ def _cmd_rank(args) -> int:
             _emit({"failure": f"{type(exc).__name__} at k=0: {exc}"}, args.pretty)
             return 2
         report = numerical_rank(jacobian_at(selected, point))
-    _emit(_rank_dict(report), args.pretty)
+    _emit(_fields(report), args.pretty)
     return 0
 
 
@@ -313,28 +313,7 @@ def _cmd_solve(args) -> int:
 def _cmd_certify(args) -> int:
     system, point, options = parse_system(args.input, args.order, args.norm_backend)
     report, trace = singular_alpha_certificate(system, point, options["backend"])
-    q = report.quantities
-    payload = {
-        "quantities": None
-        if q is None
-        else {
-            "beta": q.beta,
-            "lambda": q.lam,
-            "kappa": q.kappa,
-            "mu": q.mu,
-            "gamma": q.gamma,
-            "alpha": q.alpha,
-            "nu": q.nu,
-        },
-        "alpha_bound": report.alpha_bound,
-        "alpha_ok": report.alpha_ok,
-        "theta_low": report.theta_low,
-        "theta_high": report.theta_high,
-        "gamma_radius": report.gamma_radius,
-        "notes": list(report.notes),
-        "thickness": trace.thickness,
-    }
-    _emit(payload, args.pretty)
+    _emit({**_fields(report), "thickness": trace.thickness}, args.pretty)
     return 0
 
 
@@ -370,7 +349,7 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--input", required=True, help="path to the JSON input file")
-        p.add_argument("--order", type=int, default=None, help="truncation order override")
+        p.add_argument("--order", type=_int_at_least(0), help="truncation order override")
         p.add_argument(
             "--norm-backend",
             choices=sorted(_BACKEND_ALIASES),

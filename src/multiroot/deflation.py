@@ -229,22 +229,13 @@ def is_small(
 ) -> SmallnessGate:
     """Gate test: is the evaluation at x0 below the eta threshold?"""
     if isinstance(f, AnalyticSystem):
-        return _system_gate(f, system_evaluate(f, x0), ball, backend)
-    norm = series_norm_a2(f, ball, backend)
-    value = abs(ts_evaluate(f, x0))
-    eta = eta_threshold(norm, ball.dim, ball.radius)
-    return SmallnessGate(eta, value, value <= eta)
+        return _gate(ball, norm_a2(f, backend), _gate_value_norm(system_evaluate(f, x0), f.dim))
+    return _gate(ball, series_norm_a2(f, ball, backend), abs(ts_evaluate(f, x0)))
 
 
-def _system_gate(
-    f: AnalyticSystem,
-    values: np.ndarray,
-    ball: BallContext,
-    backend: str,
-) -> SmallnessGate:
-    """``is_small`` on a system whose values at x0 are ``values``."""
-    norm = norm_a2(f, backend)
-    value = _gate_value_norm(values, f.dim)
+def _gate(ball: BallContext, norm: float, value: float) -> SmallnessGate:
+    """The gate of a value at x0 whose function has norm ``norm``: eta and
+    the verdict, for ``is_small``, the selection walk and every round."""
     eta = eta_threshold(norm, ball.dim, ball.radius)
     return SmallnessGate(eta, value, value <= eta)
 
@@ -322,7 +313,7 @@ def _select_walk(
             value = abs(ts_evaluate(eq, x0))
         if value > eta0:
             return True
-        if not value <= eta_threshold(series_norm_a2(eq, ball, backend), ball.dim, ball.radius):
+        if not _gate(ball, series_norm_a2(eq, ball, backend), value).passed:
             return True
         if eq.order == 0:
             # A passer with nothing left to differentiate is numerically the
@@ -411,20 +402,20 @@ def _pivot_residuals(
 
 
 @functools.lru_cache(maxsize=64)
-def _subsets(m: int, r: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """The r-subsets of range(m) in lexicographic order, as tuples and as a
+def _subsets(m: int, r: int) -> np.ndarray:
+    """The r-subsets of range(m) in lexicographic order, one per row of a
     read-only array; built once per shape."""
     sets = tuple(combinations(range(m), r))
     chosen = np.array(sets, dtype=int).reshape(len(sets), r)
     chosen.flags.writeable = False
-    return sets, chosen
+    return chosen
 
 
 @functools.lru_cache(maxsize=64)
 def _complements(m: int, r: int) -> np.ndarray:
     """Row i holds the complement of the i-th r-subset of ``_subsets(m, r)``,
     in ascending order; read-only, built once per shape."""
-    _sets, chosen = _subsets(m, r)
+    chosen = _subsets(m, r)
     keep = np.ones((len(chosen), m), dtype=bool)
     keep[np.arange(len(chosen))[:, None], chosen] = False
     others = np.nonzero(keep)[1].reshape(len(chosen), m - r)
@@ -444,7 +435,8 @@ def _kerneling_pivots(
     Among all nonsingular r x r pivot blocks, take the one minimizing the
     kerneling residual ||K(f)(x0)|| (the quantity the kerneling acceptance
     inequality tests).  Candidates within 0.1% of the best are tied and
-    resolved by smallest column indices, then smallest row indices.
+    resolved by smallest column indices, then smallest row indices, read off
+    the subsets' lexicographic numbering.
     sigma_min is the block's smallest singular value.  More candidate blocks
     than ``_PIVOT_BRUTE_LIMIT`` raise ``RankDeficiencyError`` naming the
     count.
@@ -456,9 +448,8 @@ def _kerneling_pivots(
             f"{count} candidate {r}x{r} pivot blocks exceed the search cap of "
             f"{_PIVOT_BRUTE_LIMIT}"
         )
-    row_sets, rows_a = _subsets(s, r)
-    col_sets, cols_a = _subsets(n, r)
-    # Every candidate block at once: blocks[i, j] = j0[row_sets[i]][:, col_sets[j]].
+    rows_a, cols_a = _subsets(s, r), _subsets(n, r)
+    # Every candidate block at once: blocks[i, j] = j0[rows_a[i]][:, cols_a[j]].
     blocks = j0[rows_a[:, None, :, None], cols_a[None, :, None, :]]
     smin = singular_values(blocks, scale)[..., -1]
     ii, jj = np.nonzero(smin != 0.0)
@@ -470,15 +461,11 @@ def _kerneling_pivots(
     residuals = _pivot_residuals(
         j0, values, rows_a[ii], cols_a[jj], _complements(s, r)[ii], _complements(n, r)[jj]
     )
-    candidates = [
-        (float(k), col_sets[j], row_sets[i], float(smin[i, j]))
-        for k, i, j in zip(residuals, ii, jj)
-    ]
-    kmin = min(c[0] for c in candidates)
-    band = kmin * (1.0 + 1e-3) + 1e-15 * scale
-    tied = [c for c in candidates if c[0] <= band]
-    _knorm, cols, rows, sigma_min = min(tied, key=lambda c: (c[1], c[2]))
-    return rows, cols, sigma_min
+    band = residuals.min() * (1.0 + 1e-3) + 1e-15 * scale
+    tied = np.flatnonzero(residuals <= band)
+    best = tied[np.lexsort((ii[tied], jj[tied]))[0]]
+    i, j = ii[best], jj[best]
+    return tuple(rows_a[i].tolist()), tuple(cols_a[j].tolist()), float(smin[i, j])
 
 
 def kernel_op(
@@ -515,7 +502,7 @@ def _extract_square_indexed(
             f"{count} candidate equation subsets exceed the search cap of "
             f"{_EXTRACT_BRUTE_LIMIT}"
         )
-    _sets, combos = _subsets(f.size, n)
+    combos = _subsets(f.size, n)
     sigmas = singular_values(j0[combos])
     full = full_rank_mask(sigmas)
     admitted, sigmas = combos[full], sigmas[full]
@@ -535,10 +522,9 @@ def _extract_square_indexed(
         np.arange(len(admitted)) if np.isnan(estimate).any()
         else np.flatnonzero(estimate <= estimate.min() * (1.0 + 1e-12))
     )
-    _residual, chosen, best = min(
-        (float(np.linalg.norm(at_points[k])), tuple(int(i) for i in admitted[k]), k)
-        for k in near.tolist()
-    )
+    # A tie goes to the first subset: subsets are numbered lexicographically.
+    _residual, best = min((float(np.linalg.norm(at_points[k])), k) for k in near.tolist())
+    chosen = tuple(admitted[best].tolist())
     square = f._with(f.equations[i] for i in chosen)
     return square, chosen, rank_from_singular_values(sigmas[best]), tuple(points[best].tolist())
 
@@ -568,7 +554,7 @@ def _run_rounds(
     x0: Sequence[complex],
     backend: str,
     max_iters: int,
-    truncation_orders: Sequence[int] | None,
+    order: int | None,
 ) -> DeflationTrace:
     """Shared loop behind deflation_sequence and truncated_deflation.
 
@@ -576,9 +562,8 @@ def _run_rounds(
     round's gate and what the round decided before it ended: the rank
     report, the pivots and mu.  The run ends in the extracted square system
     or, at the first failed hypothesis, with ``failure`` naming it, and the
-    trace is built from the steps.
-    ``truncation_orders``, when given, holds max_iters + 1 orders: one per
-    selection the cap allows.
+    trace is built from the steps.  ``order``, when given, truncates F_0,
+    and with it every later system (see ``truncated_deflation``).
     """
     ball = BallContext.of(f)
     steps: list[DeflationStep] = []
@@ -587,15 +572,14 @@ def _run_rounds(
     try:
         while True:
             current, records = select_detailed(current, x0, backend)
-            if truncation_orders is not None:
+            if k == 0 and order is not None:
                 # An equation already within the order is kept, with its norms.
-                order = truncation_orders[k]
                 current = current._with(
                     eq if eq.order <= order else ts_truncate(eq, order)
                     for eq in current.equations
                 )
             values = system_evaluate(current, x0)
-            gate = _system_gate(current, values, ball, backend)
+            gate = _gate(ball, norm_a2(current, backend), _gate_value_norm(values, current.dim))
             report = pivots = mu = None
             try:
                 if not gate.passed:
@@ -687,7 +671,7 @@ def truncated_deflation(
 
     Equivalent to the full sequence as far as the singular Newton operator is
     concerned, provided ell is the true thickness and the input order is at
-    least ell + 1.
+    least ell + 1.  Only F_0 is cut, at ell + 1; the cap allows ell rounds.
     """
     if ell < 0:
         raise DomainError("ell must be nonnegative")
@@ -695,8 +679,10 @@ def truncated_deflation(
         raise DomainError(
             f"series order {f.min_order()} too small for truncated deflation at ell={ell}"
         )
-    schedule = [ell + 1 - k for k in range(ell + 1)]
-    return _run_rounds(f, x0, backend, ell, schedule)
+    # F_0 alone is cut: kernel_op truncates at the smallest order less one
+    # and selection only lowers orders, so every later F_k already lies
+    # within ell + 1 - k.
+    return _run_rounds(f, x0, backend, ell, ell + 1)
 
 
 def singular_newton_step(

@@ -79,6 +79,44 @@ MUTANTS = (
         "if False:",
     ),
     Mutant(
+        "pivot-tie-keys-swapped",
+        "src/multiroot/deflation.py",
+        "np.lexsort((ii[tied], jj[tied]))",
+        "np.lexsort((jj[tied], ii[tied]))",
+    ),
+    Mutant(
+        "truncation-order",
+        "src/multiroot/deflation.py",
+        "_run_rounds(f, x0, backend, ell, ell + 1)",
+        "_run_rounds(f, x0, backend, ell, ell + 2)",
+    ),
+    Mutant(
+        "zero-rtol",
+        "src/multiroot/series.py",
+        "ZERO_RTOL = 1e-12",
+        "ZERO_RTOL = 1e-10",
+    ),
+    Mutant(
+        "theta-low-strict",
+        "src/multiroot/certificates.py",
+        "if offset + theta_low >= ball.radius:",
+        "if offset + theta_low > ball.radius:",
+        survives="the rules differ only where offset + theta_low equals R to the last "
+        "bit, which no test input reaches; the CLI centers the ball at x0",
+    ),
+    Mutant(
+        "report-keeps-tuples",
+        "src/multiroot/cli.py",
+        "value = list(value)",
+        "value = value",
+    ),
+    Mutant(
+        "report-lambda-unrenamed",
+        "src/multiroot/cli.py",
+        '"lambda" if field.name == "lam" else field.name',
+        "field.name",
+    ),
+    Mutant(
         "stagnation-rtol",
         "src/multiroot/deflation.py",
         "_STAGNATION_RTOL = 1e-15",

@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import warnings
 from pathlib import Path
 
 import pytest
 
+from multiroot.certificates import CertificateReport, PointQuantities
 from multiroot.cli import build_trace_report, main, parse_system
+from multiroot.deflation import SelectionRecord, SmallnessGate
 from multiroot.errors import ParseError
+from multiroot.rank import RankReport
 
 from conftest import FIXTURES, relerr
 
@@ -478,6 +482,27 @@ class TestReportContract:
         report = build_trace_report(trace)
         assert json.loads(json.dumps(report)) == report
 
+    def test_keys_are_the_record_fields(self, capsys):
+        # Each report object is its record's fields, with lam as "lambda".
+        def keys(record):
+            return {"lambda" if f.name == "lam" else f.name for f in dataclasses.fields(record)}
+
+        assert set(json.loads(run_cli(capsys, "rank", "--input", GY2)[1])) == keys(RankReport)
+        certify = json.loads(run_cli(capsys, "certify", "--input", GY2)[1])
+        assert set(certify) == keys(CertificateReport) | {"thickness"}
+        assert set(certify["quantities"]) == keys(PointQuantities)
+        code, out, _ = run_cli(capsys, "deflate", "--input", GY2)
+        steps = json.loads(out)["steps"]
+        assert code == 0 and [step["kind"] for step in steps] == [
+            "selection", "kerneling", "extraction"
+        ]
+        for step in steps:
+            assert set(step["rank"]) == keys(RankReport)
+            if step["kind"] != "extraction":
+                assert set(step["gate"]) == keys(SmallnessGate)
+                assert step["provenance"]
+                assert all(set(rec) == keys(SelectionRecord) for rec in step["provenance"])
+
     def test_byte_identical_runs(self, capsys):
         _code, out1, _ = run_cli(capsys, "certify", "--input", GY2)
         _code, out2, _ = run_cli(capsys, "certify", "--input", GY2)
@@ -579,6 +604,15 @@ class TestCountFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument --steps: must be >= 1, got {int(steps)}" in captured.err
+
+    @pytest.mark.parametrize("command", ["rank", "deflate", "solve", "certify"])
+    def test_negative_order(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", GY2, "--order", "-1"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --order: must be >= 0, got -1" in captured.err
 
     def test_negative_max_iters(self, capsys):
         with pytest.raises(SystemExit) as exc:

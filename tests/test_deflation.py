@@ -45,6 +45,7 @@ from multiroot.series import (
 from conftest import (
     DEFLATED_GOLDEN,
     KERNELED_GOLDEN,
+    OJIKA1,
     REPO,
     SELECTED_GOLDEN,
     assert_system_multiset,
@@ -596,6 +597,23 @@ class TestTruncatedDeflation:
             return np.array([complex(t) for t in point]) - np.linalg.solve(j0, v)
         a, b = step(full), step(trunc)
         assert np.linalg.norm(a - b) <= 1e-10 * (1 + np.linalg.norm(a))
+
+    def test_later_systems_lie_within_the_schedule(self):
+        # Only F_0 is cut, at ell + 1; kerneling and selection lower the
+        # orders of the later systems to ell + 1 - k by themselves.  Both
+        # inputs have order 4, above ell + 1, so the cut shows.
+        x0 = ojika1(1e-3)[1]
+        system, point, options = parse_system(str(REPO / "fixtures" / "gy2.json"), 4)
+        cases = [
+            ((recentered(OJIKA1, x0, order=4), x0, COMPLEX_EXACT), 2, [3, 2, 1]),
+            ((system, point, options["backend"]), 1, [2, 1]),
+        ]
+        for (f, start, backend), ell, orders in cases:
+            trace = truncated_deflation(f, start, ell, backend)
+            assert trace.deflated is not None
+            assert [
+                step.system.max_order() for step in trace.steps if step.kind != "extraction"
+            ] == orders
 
     def test_ell0_regular(self):
         f, point = regular_system()
