@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -204,19 +205,25 @@ def _series_dict(f: TruncatedSeries) -> dict:
     }
 
 
+@functools.cache
+def _keys(cls: type) -> tuple[tuple[str, str], ...]:
+    """(field name, JSON key) per dataclass field of cls, read once a class."""
+    return tuple((f.name, "lambda" if f.name == "lam" else f.name) for f in dataclasses.fields(cls))
+
+
 def _fields(record: Any) -> dict | None:
     """A record (or None) as JSON: its dataclass fields by name, tuples as
     lists, a nested record as its own fields and ``lam`` as "lambda"."""
     if record is None:
         return None
     payload = {}
-    for field in dataclasses.fields(record):
-        value = getattr(record, field.name)
+    for name, key in _keys(type(record)):
+        value = getattr(record, name)
         if isinstance(value, tuple):
             value = list(value)
         elif dataclasses.is_dataclass(value):
             value = _fields(value)
-        payload["lambda" if field.name == "lam" else field.name] = value
+        payload[key] = value
     return payload
 
 

@@ -12,10 +12,10 @@ The pipeline, for a point x0 near a multiple root:
    first derivative that fails the gate retains its parent, once.  The gate is
    decided bound first: eta(||f||) <= eta(0), so a value above eta(0) fails
    without a norm, and only the other values are tested against
-   eta(||f||).  At x0 = the center a child's value is a linear coefficient
-   of its parent, so a child that fails the bound is never built.  Each
-   distinct series is walked once per selection: a repeat of one already
-   walked takes its outcome.
+   eta(||f||).  Selection expands f around x0 first, so a child's value is
+   a linear coefficient of its parent, and a child that fails the bound is
+   never built.  Each distinct series is walked once per selection: a
+   repeat of one already walked takes its outcome.
 2. *Kerneling* splits the Jacobian along an invertible r x r pivot block,
    r the numerical rank at x0, and appends the Schur-complement entries to
    the pivot equations.  ``kernel_op`` reads only the system and the block's
@@ -30,7 +30,8 @@ Classical Newton on the extracted square system is the singular Newton
 operator of the original system.  Extraction already solves J_S delta =
 F_S(x0) for every admitted subset S to compare their Newton points, so the
 chosen subset's point x0 - delta is kept with the extraction step and is the
-step; a system already centered at x0 is deflated as it is, with the norms
+step; every system of a deflation is expanded around x0, in the caller's
+ball, and one already centered there is deflated as it is, with the norms
 its series keep.  Every routine here is a pure function over immutable
 snapshots; traces are safe to share once built.
 """
@@ -69,6 +70,7 @@ from .series import (
     jacobian_at,
     max_coeff,
     maxima_apart,
+    recenter_series,
     recenter_system,
     series_close,
     system_evaluate,
@@ -244,20 +246,23 @@ def _unit(n: int, i: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def _select_walk(
+def select_detailed(
     f: AnalyticSystem,
-    x0: tuple[complex, ...],
-    ball: BallContext,
+    x0: Sequence[complex],
     backend: str,
-) -> list[tuple[TruncatedSeries, SelectionRecord, float]]:
-    """The retained (series, record, max_coeff) triples of S(f), in the order
-    the depth-first walk over each equation and its derivatives retains them.
+) -> tuple[AnalyticSystem, tuple[SelectionRecord, ...]]:
+    """Selection operator S, recursive smallness-gated derivative replacement,
+    with provenance records for each retained equation.
 
-    A node that fails its gate retains its parent (the equation itself at the
-    root): ``walk`` returns whether the node failed, and a parent retains
-    itself at its first failing child, before its later children are walked.
-    Work whose outcome is already decided is skipped; every decision is the
-    one the full gate would take:
+    f's series are first expanded around x0 at their own orders, in f's
+    ball, unless they are centered there already.  Each equation is then
+    walked depth first, a passing node's nonzero partial derivatives in
+    variable order.  A node that fails its gate retains its parent (the
+    equation itself at the root) unless an equal series is already retained:
+    ``walk`` returns whether the node failed, and a parent retains itself at
+    its first failing child, before its later children are walked.  Work
+    whose outcome is already decided is skipped; every decision is the one
+    ``is_small``'s gate would take:
 
     - A node whose order and coefficients (in stored order) equal those of a
       node already walked, all of them finite, returns that node's result:
@@ -265,23 +270,25 @@ def _select_walk(
       subtree would retain equals, coefficient for coefficient, one the first
       walk retained or found retained, so ``retain`` rejects it.  A NaN or
       an infinity makes ``series_close`` false, so such a node is walked.
-    - A node fails whenever |value| > eta(0): R + ||f|| >= R rounds
-      monotonically, so eta(||f||) <= eta(0).  Only the other nodes pay for a
-      norm, and take ``is_small``'s decision with the value already computed.
-      At the center the value is the constant coefficient.
+    - A node's value at x0 is its constant coefficient, and it fails whenever
+      |value| > eta(0): R + ||f|| >= R rounds monotonically, so eta(||f||)
+      <= eta(0).  Only the other nodes pay for a norm.
     - A pending series whose largest coefficient differs from a retained
       one's by more than the zero threshold allows cannot equal it
       (``maxima_apart``), so it is not compared coefficient by coefficient.
-    - At the center, child i's value is |coefficient of e_i|.  When that
-      exceeds both eta(0) and the zero floor ZERO_RTOL (1 + max_coeff), the
-      child is nonzero and fails: its parent is retained and no derivative is
-      built.  A variable with no positive exponent has an empty derivative
-      and is skipped.
+    - Child i's value is |coefficient of e_i|.  When that exceeds both
+      eta(0) and the zero floor ZERO_RTOL (1 + max_coeff), the child is
+      nonzero and fails: its parent is retained and no derivative is built.
+      A variable with no positive exponent has an empty derivative and is
+      skipped.
     """
+    x0 = tuple(complex(v) for v in x0)
+    if f.center != x0:
+        f = f._with(recenter_series(f.equations, x0, [eq.order for eq in f.equations]))
+    ball = BallContext.of(f)
     # The bound may decide every gate, so no norm would check the backend.
     _check_backend(backend)
     eta0 = eta_threshold(0.0, ball.dim, ball.radius)
-    at_center = x0 == f.center
     zero = (0,) * f.dim
     units = [_unit(f.dim, i) for i in range(f.dim)]
     retained: list[tuple[TruncatedSeries, SelectionRecord, float]] = []
@@ -306,11 +313,8 @@ def _select_walk(
         return failed
 
     def gate_and_descend(eq: TruncatedSeries, record: SelectionRecord) -> bool:
-        # is_small's gate, with the value computed once for both tests.
-        if at_center:
-            value = abs(eq.coefficients.get(zero, 0.0))
-        else:
-            value = abs(ts_evaluate(eq, x0))
+        # is_small's gate, with the value read once for both tests.
+        value = abs(eq.coefficients.get(zero, 0.0))
         if value > eta0:
             return True
         if not _gate(ball, series_norm_a2(eq, ball, backend), value).passed:
@@ -326,7 +330,7 @@ def _select_walk(
         retained_self = False
         for i in live:
             value = abs(eq.coefficients.get(units[i], 0.0))
-            if at_center and value > eta0 and value > zero_floor:
+            if value > eta0 and value > zero_floor:
                 failed = True
             else:
                 d = ts_derivative(eq, i)
@@ -351,28 +355,6 @@ def _select_walk(
         # the walk's memo and series when the call returns, not at the next
         # pass of the cyclic garbage collector.
         gate_and_descend = None
-    return retained
-
-
-def select_detailed(
-    f: AnalyticSystem,
-    x0: Sequence[complex],
-    backend: str,
-) -> tuple[AnalyticSystem, tuple[SelectionRecord, ...]]:
-    """Selection operator S, recursive smallness-gated derivative replacement,
-    with provenance records for each retained equation.
-
-    Each equation is walked depth first, and each distinct series once.  At a
-    node the gate is decided in this order: the value against eta(0), which
-    fails the node on its own; then, only if the value is at or below
-    eta(0), ``is_small``'s gate with the node's norm.  A passing node's
-    nonzero partial derivatives are walked in variable order; at x0 = the
-    center, a child whose value (a linear coefficient) already fails the
-    bound is decided without building it.  A failing node retains its parent
-    unless an equal series is already retained.  See ``_select_walk``.
-    """
-    ball = BallContext.of(f)
-    retained = _select_walk(f, tuple(complex(v) for v in x0), ball, backend)
     if not retained:
         raise TruncationExhaustedError(
             "selection retained no equations: every branch stayed under its "
@@ -478,7 +460,8 @@ def kernel_op(
     keeps the r pivot-row equations first, followed by the (s-r)(n-r)
     Schur-complement entries row-major, all truncated at the Jacobian's
     order (one below the system's), matching the truncated-deflation
-    schedule.
+    schedule.  The block is inverted at f's center, which in a deflation is
+    x0, where the block was chosen.
     """
     row_idx, col_idx = pivots
     if len(row_idx) >= f.dim:

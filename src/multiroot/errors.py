@@ -29,7 +29,9 @@ class HypothesisFailure(MultirootError):
 
 
 class SingularPivotError(HypothesisFailure):
-    """A pivot block (or constant term) is numerically singular."""
+    """A pivot block is numerically singular at the system's center.  Only a
+    direct ``kernel_op`` call raises it: a deflation's systems are centered
+    at x0, where it chooses its block above this test's rounding floor."""
 
 
 class RankDeficiencyError(HypothesisFailure):

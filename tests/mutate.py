@@ -113,16 +113,20 @@ MUTANTS = (
     Mutant(
         "report-lambda-unrenamed",
         "src/multiroot/cli.py",
-        '"lambda" if field.name == "lam" else field.name',
-        "field.name",
+        '(f.name, "lambda" if f.name == "lam" else f.name)',
+        "(f.name, f.name)",
     ),
     Mutant(
         "stagnation-rtol",
         "src/multiroot/deflation.py",
         "_STAGNATION_RTOL = 1e-15",
         "_STAGNATION_RTOL = 1e-13",
-        survives="no test pins a stagnation stop; the constant is to be derived "
-        "from the point's rounding floor or deleted",
+    ),
+    Mutant(
+        "select-recenter-skipped",
+        "src/multiroot/deflation.py",
+        "if f.center != x0:",
+        "if False:",
     ),
 )
 

@@ -36,6 +36,7 @@ from multiroot.series import (
     AnalyticSystem,
     TruncatedSeries,
     jacobian_at,
+    recenter_series,
     recenter_system,
     system_evaluate,
     ts_derivative,
@@ -55,8 +56,10 @@ from conftest import (
     ojika1,
     recentered,
 )
+from test_batched import _load_gen
 
 C2 = (0.0, 0.0)
+GEN = _load_gen()
 
 # 12 x 6 of rank 3: more candidate pivot blocks than the search cap.
 _rng = np.random.default_rng(17)
@@ -324,6 +327,8 @@ class TestDeflationSequence:
         assert trace.mu_values[0] == pytest.approx(1 / 2.0012, rel=1e-3)
 
     def test_regular_system_thickness_zero(self):
+        # f is centered at the origin; the deflation expands it around the
+        # point, so the deflated system is f's equations expanded there.
         f, point = regular_system()
         trace = deflation_sequence(f, point, COMPLEX_EXACT)
         assert trace.thickness == 0
@@ -331,9 +336,38 @@ class TestDeflationSequence:
         assert trace.deflated.size == 2
         assert_system_multiset(
             trace.deflated,
-            [dict(eq.coefficients) for eq in f.equations],
+            [dict(eq.coefficients) for eq in recenter_series(f.equations, point, [1, 1])],
             rtol=1e-12,
         )
+
+    @pytest.mark.parametrize(
+        "equations, point",
+        [
+            (({(1, 2): -3.0}, {(2, 0): 1.0, (0, 3): -2.0}), (-0.0164, 0.0807)),
+            (
+                (
+                    {(0, 3): 1.0, (2, 0): -2.0},
+                    {(1, 1): 1.0, (0, 1): -3.0},
+                    {(1, 1): 1.0, (0, 1): 3.0},
+                ),
+                (0.0041, -0.0047),
+            ),
+        ],
+        ids=["two-equations", "three-equations"],
+    )
+    def test_series_centered_off_the_point_deflate(self, equations, point):
+        # Series centered at the origin and a point off it.  The k=1 pivot
+        # block is chosen on J(x0) and is singular at the origin, so it must
+        # be inverted at x0: every system of the deflation is expanded around
+        # x0, in the caller's ball.
+        f = AnalyticSystem(2, tuple(TruncatedSeries(C2, 3, eq) for eq in equations), C2, 1.0)
+        trace = deflation_sequence(f, point, COMPLEX_EXACT)
+        assert trace.failure is None
+        assert trace.thickness == 1 and trace.deflated is not None
+        assert trace.input_system is f
+        for step in trace.steps:
+            assert step.system.center == point
+            assert (step.system.ball_center, step.system.ball_radius) == (C2, 1.0)
 
     def test_far_point_gate_failure(self, gy2):
         system, _point, backend = gy2
@@ -569,6 +603,24 @@ class TestNewtonStops:
         traj = newton_iterate(f, (0.0, 0.0), 4, COMPLEX_EXACT)
         assert traj == [(0j, 0j), points[0], points[1]]
         assert calls == [(0j, 0j), points[0], points[1]]
+
+    def test_stagnation_stop(self, tmp_path):
+        # gy2_002 (appendix norm) moves 7.7e-4, 2.1e-7, 1.2e-14, then 9.4e-17:
+        # each move is shorter than the last, and the fourth is the first at
+        # or under 1e-15 (1 + ||x||), so the trajectory stops after it with
+        # steps left.  A 1e-13 rule would stop one point earlier.
+        f, x0, opts = parse_system(str(GEN.gy2_inputs(tmp_path, 0, 2)[2]))
+        traj = newton_iterate(f, x0, 6, opts["backend"])
+        assert len(traj) == 5
+
+        def norm(v):
+            return math.sqrt(sum(abs(c) ** 2 for c in v))
+
+        moves = [norm(np.subtract(a, b)) for a, b in zip(traj, traj[1:])]
+        scales = [1.0 + norm(a) for a in traj[:-1]]
+        assert moves == sorted(moves, reverse=True)
+        assert [m <= 1e-15 * s for m, s in zip(moves, scales)] == [False] * 3 + [True]
+        assert 1e-15 * scales[2] < moves[2] <= 1e-13 * scales[2]
 
 
 class TestTruncatedDeflation:

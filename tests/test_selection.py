@@ -34,6 +34,7 @@ from multiroot.series import (
     jacobian_at,
     max_coeff,
     maxima_apart,
+    recenter_series,
     series_close,
     system_evaluate,
     ts_derivative,
@@ -113,9 +114,24 @@ def outcome(select, f, x0, backend):
 
 
 def assert_same_selection(f, x0, backend):
+    """``select_detailed`` at x0 against the plain walk on f's series
+    expanded around x0, the frame selection works in."""
     got = outcome(select_detailed, f, x0, backend)
-    assert got == outcome(reference_select, f, x0, backend)
+    assert got == outcome(reference_select, expanded_at(f, x0), x0, backend)
     return got
+
+
+def expanded_at(f, point):
+    """f's series expanded around point at their own orders, in f's ball."""
+    return f.with_equations(recenter_series(f.equations, point, [eq.order for eq in f.equations]))
+
+
+def trace_bits(trace):
+    """A trace as comparable bits: its report and every step's raw series."""
+    return (
+        json.dumps(build_trace_report(trace), sort_keys=True),
+        [[raw(eq) for eq in step.system.equations] for step in trace.steps],
+    )
 
 
 @pytest.fixture(scope="module")
@@ -158,15 +174,22 @@ class TestAgainstReference:
             assert_same_selection(k, x0, opts["backend"])
 
     def test_off_center_points(self, family_systems):
-        # Away from the center every child is built; the bound-first gate
-        # still decides the nodes whose value exceeds eta(0).
+        # One frame: at a point off f's center, selection and the whole
+        # deflation are those of f's series expanded around the point, in
+        # f's ball, bit for bit, and the selection is the plain walk's there.
         rng = np.random.default_rng(17)
         passed = 0
         for f, x0, opts in family_systems:
+            backend = opts["backend"]
             for scale in (1e-7, 1e-4, 1e-2):
                 step = scale * (rng.standard_normal(f.dim) + 1j * rng.standard_normal(f.dim))
                 point = tuple(np.array(x0) + step)
-                got = assert_same_selection(f, point, opts["backend"])
+                g = expanded_at(f, point)
+                got = assert_same_selection(f, point, backend)
+                assert got == outcome(select_detailed, g, point, backend)
+                assert trace_bits(deflation_sequence(f, point, backend)) == trace_bits(
+                    deflation_sequence(g, point, backend)
+                )
                 passed += not isinstance(got, str)
         assert passed >= 64
 
@@ -178,22 +201,36 @@ class TestAgainstReference:
 
 
 def gated_series(f, x0, backend, monkeypatch):
-    """The series the walk gates, in order, at a point x0 off f's center,
-    where every gated node's value is read through ``ts_evaluate``."""
+    """(The series the walk gates, in order; f expanded around x0, the system
+    the walk runs on).
+
+    The gate reads a node's value, its constant coefficient, before any
+    other part of the walk reads that coefficient: each equation and each
+    derivative the walk builds gets a coefficient dict that logs its series
+    at the first such read."""
     seen = []
-    evaluate = deflation.ts_evaluate
 
-    def recording(series, x):
-        seen.append(series)
-        return evaluate(series, x)
+    class Reads(dict):
+        def get(self, alpha, default=None):
+            if not (any(alpha) or self.read):
+                self.read = True
+                seen.append(self.series)
+            return super().get(alpha, default)
 
+    def logged(series):
+        series.coefficients = Reads(series.coefficients)
+        series.coefficients.series, series.coefficients.read = series, False
+        return series
+
+    g = f.with_equations(map(logged, expanded_at(f, x0).equations))
+    derivative = deflation.ts_derivative
     with monkeypatch.context() as patch:
-        patch.setattr(deflation, "ts_evaluate", recording)
+        patch.setattr(deflation, "ts_derivative", lambda eq, i: logged(derivative(eq, i)))
         try:
-            select_detailed(f, x0, backend)
+            select_detailed(g, x0, backend)
         except TruncationExhaustedError:
             pass
-    return seen
+    return seen, g
 
 
 def reference_nodes(f, x0, backend, monkeypatch):
@@ -246,7 +283,7 @@ class TestRepeatedSeries:
                 step = 1e-6 * (rng.standard_normal(f.dim) + 1j * rng.standard_normal(f.dim))
                 point = tuple(np.array(x0) + step)
                 assert_same_selection(f_, point, backend)
-                gated = [key(s) for s in gated_series(f_, point, backend, monkeypatch)]
+                gated = [key(s) for s in gated_series(f_, point, backend, monkeypatch)[0]]
                 assert len(gated) == len(set(gated))
                 offsets += 1
         assert offsets >= 48
@@ -273,9 +310,13 @@ class TestRepeatedSeries:
             assert_same_selection(f, center, backend)
             point = tuple(np.array(center) + 1e-9 * (1 + 1j))
             assert_same_selection(f, point, backend)
-            gated = [key(s) for s in gated_series(f, point, backend, monkeypatch)]
+            gated = [key(s) for s in gated_series(f, point, backend, monkeypatch)[0]]
             assert len(gated) == len(set(gated))
-            repeats += len(gated) < len(reference_nodes(f, point, backend, monkeypatch))
+            # The plain walk gates a repeated series again; the walk gates
+            # it once.
+            plain = reference_nodes(expanded_at(f, point), point, backend, monkeypatch)
+            plain = [key(s) for s in plain]
+            repeats += len(set(plain)) < len(plain)
         assert repeats >= 20
 
     @pytest.mark.parametrize("backend", [COMPLEX_EXACT, APPENDIX_SLICE])
@@ -306,8 +347,8 @@ class TestRepeatedSeries:
         distinct = {key(eq) for eq in kerneled.equations}
         assert len(distinct) == 7
         point = tuple(np.array(x0) + 1e-9)
-        gated = gated_series(kerneled, point, opts["backend"], monkeypatch)
-        top_level = [s for s in gated if any(s is eq for eq in kerneled.equations)]
+        gated, expanded = gated_series(kerneled, point, opts["backend"], monkeypatch)
+        top_level = [s for s in gated if any(s is eq for eq in expanded.equations)]
         assert len(top_level) == 7
         assert_same_selection(kerneled, point, opts["backend"])
 
