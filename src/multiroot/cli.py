@@ -399,9 +399,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"deflate: parse error: {exc}\n")
         return 1
-    except HypothesisFailure as exc:
-        sys.stderr.write(f"deflate: {exc}\n")
-        return 2
     except MultirootError as exc:
         sys.stderr.write(f"deflate: internal numerical error: {exc}\n")
         return 3

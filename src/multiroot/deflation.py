@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bergman import BallContext, _check_backend, norm_a2, series_norm_a2
+from .bergman import BallContext, _check_backend, norm_a2, nu, series_norm_a2
 from .errors import (
     DomainError,
     ExtractionError,
@@ -255,14 +255,15 @@ def select_detailed(
     with provenance records for each retained equation.
 
     f's series are first expanded around x0 at their own orders, in f's
-    ball, unless they are centered there already.  Each equation is then
-    walked depth first, a passing node's nonzero partial derivatives in
-    variable order.  A node that fails its gate retains its parent (the
-    equation itself at the root) unless an equal series is already retained:
-    ``walk`` returns whether the node failed, and a parent retains itself at
-    its first failing child, before its later children are walked.  Work
-    whose outcome is already decided is skipped; every decision is the one
-    ``is_small``'s gate would take:
+    ball, unless they are centered there already; an x0 outside the open
+    ball raises ``DomainError``, since every bound the gate rests on needs
+    it inside.  Each equation is then walked depth first, a passing node's
+    nonzero partial derivatives in variable order.  A node that fails its
+    gate retains its parent (the equation itself at the root) unless an
+    equal series is already retained: ``walk`` returns whether the node
+    failed, and a parent retains itself at its first failing child, before
+    its later children are walked.  Work whose outcome is already decided
+    is skipped; every decision is the one ``is_small``'s gate would take:
 
     - A node whose order and coefficients (in stored order) equal those of a
       node already walked, all of them finite, returns that node's result:
@@ -283,9 +284,10 @@ def select_detailed(
       skipped.
     """
     x0 = tuple(complex(v) for v in x0)
-    if f.center != x0:
-        f = f._with(recenter_series(f.equations, x0, [eq.order for eq in f.equations]))
     ball = BallContext.of(f)
+    if f.center != x0:
+        nu(x0, ball)
+        f = f._with(recenter_series(f.equations, x0, [eq.order for eq in f.equations]))
     # The bound may decide every gate, so no norm would check the backend.
     _check_backend(backend)
     eta0 = eta_threshold(0.0, ball.dim, ball.radius)
@@ -498,12 +500,14 @@ def _extract_square_indexed(
     at_points = system_evaluate_many(f, points)
     # The batched norms differ from the per-row ones by about s eps
     # relative, so every subset that can tie the smallest exact residual
-    # lies within 1e-12 of the smallest estimate; with a NaN among them
-    # every subset is compared.
+    # lies within 1e-12 of the smallest estimate.  A NaN residual ranks
+    # last: NaN estimates fall outside the band, and only when every
+    # estimate is NaN is every subset compared.
     estimate = np.linalg.norm(at_points, axis=1)
+    low = np.fmin.reduce(estimate)
     near = (
-        np.arange(len(admitted)) if np.isnan(estimate).any()
-        else np.flatnonzero(estimate <= estimate.min() * (1.0 + 1e-12))
+        np.arange(len(admitted)) if np.isnan(low)
+        else np.flatnonzero(estimate <= low * (1.0 + 1e-12))
     )
     # A tie goes to the first subset: subsets are numbered lexicographically.
     _residual, best = min((float(np.linalg.norm(at_points[k])), k) for k in near.tolist())
@@ -517,7 +521,8 @@ def extract_square(f: AnalyticSystem, x0: Sequence[complex]) -> AnalyticSystem:
 
     Among all n-subsets of equations, those the threshold-free rank test
     reads as full rank are admitted; of these, the subset whose Newton point
-    best satisfies the whole system is taken, in ascending equation order.
+    best satisfies the whole system is taken (a NaN residual ranks last), in
+    ascending equation order.
     More subsets than ``_EXTRACT_BRUTE_LIMIT`` raise ``ExtractionError``
     naming the count.
     """

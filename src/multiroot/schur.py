@@ -1,12 +1,12 @@
 """The Schur complement of a system's Jacobian, on coefficient arrays.
 
 Kerneling needs D - C A^{-1} B for a pivot block A of a Jacobian whose
-entries are truncated series.  Here the coefficients of every entry live in
-one complex array over the exponents the data reaches, and
-``SchurLayout.solve`` computes all complementary columns x = A^{-1} b at
-once by the fixed point x <- A0^{-1} (b - N x): A0 is A's constant block and
-N is A without it, so each of the ``order + 1`` passes fixes one more
-degree.  Truncated products are table lookups: for each exponent a of the
+entries are truncated series.  Here the coefficients of every entry are read
+straight into one complex array over the exponents the data reaches, the
+array the solve runs on, and ``SchurLayout.solve`` computes all
+complementary columns x = A^{-1} b at once by the fixed point
+x <- A0^{-1} (b - N x): A0 is A's constant block and N is A without it, so
+each of the ``order + 1`` passes fixes one more degree.  Truncated products are table lookups: for each exponent a of the
 left factor, the exponents b with deg(a + b) <= order are a prefix of the
 sorted exponents, and a table says where each a + b sits.
 
@@ -64,11 +64,11 @@ class SchurLayout:
     ``pattern`` has one row (i, j, exponent...) per nonzero coefficient of a
     rows x cols matrix of series in n variables, each of degree <= order and
     each (i, j, exponent) once.  The values are laid out as an array
-    (U, rows, cols) over the U exponents the terms use.  The solve runs over
-    ``monos``, the exponents the data reaches: the terms' own, closed under
-    adding the exponents of the pivot columns' nonconstant terms up to
-    degree ``order``, never the whole degree-``order`` grid.  The zero
-    exponent comes first in both.
+    (M, rows, cols) over ``monos``, the M exponents the data reaches: the
+    terms' own, closed under adding the exponents of the pivot columns'
+    nonconstant terms up to degree ``order``, never the whole
+    degree-``order`` grid.  The zero exponent comes first, and the solve
+    runs over the same exponents.
     """
 
     def __init__(self, n, rows, cols, row_idx, col_idx, order, pattern):
@@ -106,19 +106,17 @@ class SchurLayout:
             fresh = {a + b for a in fresh for b in steps if a + b < limit} - reached
             reached |= fresh
         codes = np.array(sorted(reached), dtype=dtype)
-        used = np.array(sorted(used), dtype=dtype)
         self.monos = list(map(tuple, (codes[:, None] // places % radix).tolist()))
-        self.used_at = np.searchsorted(codes, used)
-        shape = (len(used), rows, cols)
+        shape = (len(codes), rows, cols)
         self.size = math.prod(shape)
         flat = np.arange(self.size).reshape(shape)
         # Term t's value goes to coeffs[positions[t]], coeffs flat of shape.
-        self.positions = flat[np.searchsorted(used, term_codes), ii, jj]
+        self.positions = flat[np.searchsorted(codes, term_codes), ii, jj]
         nonzero = np.zeros(shape, dtype=bool)
         nonzero.flat[self.positions] = True
 
         def block(rs, cs):
-            return np.ix_(range(len(used)), rs, cs)
+            return np.ix_(range(len(codes)), rs, cs)
 
         pivot, c_block = block(row_idx, col_idx), block(other_rows, col_idx)
         self.a0 = flat[pivot][0]
@@ -126,20 +124,14 @@ class SchurLayout:
         self.d = flat[block(other_rows, other_cols)]
         n_live = np.flatnonzero(nonzero[pivot][1:].any(axis=(1, 2))) + 1
         self.n_left = flat[pivot][n_live]
-        self.times_n = _PairTable(used[n_live], codes, limit)
+        self.times_n = _PairTable(codes[n_live], codes, limit)
         c_live = np.flatnonzero(nonzero[c_block].any(axis=(1, 2)))
         self.c_left = flat[c_block][c_live]
-        self.times_c = _PairTable(used[c_live], codes, limit)
+        self.times_c = _PairTable(codes[c_live], codes, limit)
         # A layout is shared by every caller of its pattern.
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-
-    def _over_monos(self, block: np.ndarray) -> np.ndarray:
-        """A block (U, i, j) at the used exponents, spread over ``monos``."""
-        out = np.zeros((len(self.monos), *block.shape[1:]), dtype=complex)
-        out[self.used_at] = block
-        return out
 
     def solve(self, values) -> tuple[list[tuple[int, ...]], np.ndarray]:
         """``monos`` and the coefficients (M, rows - r, cols - r) of
@@ -155,12 +147,10 @@ class SchurLayout:
             raise SingularPivotError("pivot block is numerically singular at the center")
         a0_inv = np.linalg.inv(a0)
         n_left = coeffs[self.n_left]
-        b = self._over_monos(coeffs[self.b])
-        x = b
+        x = b = coeffs[self.b]
         for _ in range(self.order + 1):
             x = a0_inv @ (b - self.times_n.times(n_left, x))
-        d = self._over_monos(coeffs[self.d])
-        return self.monos, d - self.times_c.times(coeffs[self.c_left], x)
+        return self.monos, coeffs[self.d] - self.times_c.times(coeffs[self.c_left], x)
 
 
 @functools.lru_cache(maxsize=64)

@@ -14,11 +14,13 @@ imaginary parts.  Iteration over stored terms is always in graded
 lexicographic order, which keeps every downstream computation and report
 deterministic.
 
-Two array kernels do the work on whole systems: ``_evaluate_padded`` values
-series away from their center, and ``recenter_series`` re-expands series
-around a new center.  Each gives, bit for bit, what the term-by-term Python
-arithmetic gives, and keeps what depends only on where the coefficients are
-(the exponents, and for recentering the orders) in a layout built once per
+Two array kernels do the work on whole systems: ``_evaluate`` values series
+away from their center, and ``recenter_series`` re-expands series around a
+new center.  Each works on one flat array of all the series' terms (for
+recentering, their contributions) in stored order, sums them into their
+outputs from 0 + 0j with ``np.add.at``, and gives, bit for bit, what the
+term-by-term Python arithmetic gives.  What depends only on where the coefficients are (the
+exponents, and for recentering the orders) is a layout built once per
 pattern in a bounded cache.
 """
 
@@ -185,38 +187,30 @@ def _values_at(fs: Sequence[TruncatedSeries], x: Sequence[complex]) -> list[comp
     """Values of the series fs, which share one center, at the point x.
 
     At the center every term but the constant carries an exact zero factor,
-    so the values are the constants; elsewhere ``_evaluate_padded`` computes
-    them.
+    so the values are the constants; elsewhere ``_evaluate`` computes them.
     """
     x = _as_point(x)
-    if not fs:
-        return []
     if x == fs[0].center:
         return [complex(f.constant) for f in fs]
-    return _evaluate_padded(fs, [x])[:, 0].tolist()
+    return _evaluate(fs, [x])[:, 0].tolist()
 
 
 def system_evaluate_many(f: "AnalyticSystem", points) -> np.ndarray:
     """The k x s matrix whose row j is ``system_evaluate(f, points[j])``."""
-    return _evaluate_padded(f.equations, points).T.copy()
+    return _evaluate(f.equations, points).T.copy()
 
 
-class _PaddedLayout:
-    """Everything ``_evaluate_padded`` needs of its series besides their
-    coefficient values: where each term sits in the padded array, the largest
-    exponent, and for each pass j the terms with more than j nonzero
-    exponents, the variable of the j-th one and its exponent."""
+class _EvaluateLayout:
+    """Everything ``_evaluate`` needs of its series besides their coefficient
+    values.  Terms are numbered in stored order, series after series;
+    ``series`` holds each term's series, ``top`` the largest exponent, and
+    ``passes`` for each pass j the terms with more than j nonzero exponents,
+    the variable of the j-th one and its exponent."""
 
     def __init__(self, n: int, exponents: tuple[tuple[Exponent, ...], ...]):
-        sizes = [len(eq) for eq in exponents]
-        self.width = width = max(sizes)
-        # Term j of series s sits at row s * width + j.
-        self.rows = np.arange(sum(sizes)) + np.repeat(
-            np.arange(len(sizes)) * width - np.cumsum([0, *sizes[:-1]]), sizes
-        )
-        exps = np.zeros((len(sizes) * width, n), dtype=int)
-        exps[self.rows] = [a for eq in exponents for a in eq]
-        self.top = int(exps.max())
+        self.series = np.repeat(np.arange(len(exponents)), [len(eq) for eq in exponents])
+        exps = np.array([a for eq in exponents for a in eq], dtype=int).reshape(-1, n)
+        self.top = int(exps.max(initial=0))
         # The nonzero exponents, term by term in variable order, and the place
         # of each among its term's.
         terms, var = np.nonzero(exps)
@@ -226,46 +220,44 @@ class _PaddedLayout:
             for j in range(int(place.max(initial=-1)) + 1)
         ]
         # A layout is shared by every caller of its pattern.
-        for array in (self.rows, *(a for step in self.passes for a in step)):
+        for array in (self.series, *(a for step in self.passes for a in step)):
             array.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=64)
-def _padded_layout(n: int, exponents: tuple[tuple[Exponent, ...], ...]) -> _PaddedLayout:
-    """The ``_PaddedLayout`` of series whose stored exponents are
+def _evaluate_layout(n: int, exponents: tuple[tuple[Exponent, ...], ...]) -> _EvaluateLayout:
+    """The ``_EvaluateLayout`` of series whose stored exponents are
     ``exponents``, built once per pattern."""
-    return _PaddedLayout(n, exponents)
+    return _EvaluateLayout(n, exponents)
 
 
-def _evaluate_padded(fs: Sequence[TruncatedSeries], points) -> np.ndarray:
+# inf and NaN propagate as in Python's arithmetic, without warnings.
+@np.errstate(all="ignore")
+def _evaluate(fs: Sequence[TruncatedSeries], points) -> np.ndarray:
     """Values of each series of fs, which share one center, at each row of
     points, shape (len(fs), k).
 
     The package's one evaluator away from a series' center.  Each term is its
     coefficient times dx_i^a for each variable in order (a zero exponent
     skipped), from power tables built by repeated multiplication from 1 + 0j,
-    and the terms are summed one after another in stored order from 0 + 0j.
-    The offsets from the center and the power tables of all variables are
-    formed once, and pass j multiplies every term with more than j nonzero
-    exponents by the power of its j-th one.  Every series' terms go into one
-    array, padded at the end with zero terms, so numpy is set up once for all
-    of them; a padded term adds an exact zero.  What depends only on the
-    stored exponents is a ``_PaddedLayout``, built once per pattern.  Complex
-    products are formed from real and imaginary parts as Python forms them,
-    so a value does not depend on the batch it is computed in: numpy's
-    complex multiply moves the last bit with the batch size.
+    and each series' terms are summed one after another in stored order
+    from 0 + 0j.  The offsets from the center and the power tables of all
+    variables are formed once, and pass j multiplies every term with more
+    than j nonzero exponents by the power of its j-th one.  Every series'
+    terms go into one array, so numpy is set up once for all of them.  What
+    depends only on the stored exponents is an ``_EvaluateLayout``, built
+    once per pattern.  Complex products are formed from real and imaginary
+    parts as Python forms them, so a value does not depend on the batch it
+    is computed in: numpy's complex multiply moves the last bit with the
+    batch size.
     """
     n = fs[0].dim
     points = np.asarray(points, dtype=complex)
     if points.ndim != 2 or points.shape[1] != n:
         raise StructuralError(f"points have shape {points.shape}, expected (k, {n})")
     k = points.shape[0]
-    if not any(f.coefficients for f in fs):
-        return np.zeros((len(fs), k), dtype=complex)
-    layout = _padded_layout(n, tuple(tuple(f.coefficients) for f in fs))
-    width = layout.width
-    coeffs = np.zeros(len(fs) * width, dtype=complex)
-    coeffs[layout.rows] = [c for f in fs for c in f.coefficients.values()]
+    layout = _evaluate_layout(n, tuple(tuple(f.coefficients) for f in fs))
+    coeffs = np.array([c for f in fs for c in f.coefficients.values()], dtype=complex)
     center = np.array(fs[0].center, dtype=complex)
     dxr = (points.real - center.real).T
     dxi = (points.imag - center.imag).T
@@ -284,11 +276,9 @@ def _evaluate_padded(fs: Sequence[TruncatedSeries], points) -> np.ndarray:
         ar, ai = tr[t], ti[t]
         tr[t] = ar * qr - ai * qi
         ti[t] = ar * qi + ai * qr
-    # The running sum from 0 + 0j; accumulate starts from the first term,
-    # which differs from it only in the sign of a zero, and + 0.0 clears that.
-    out = np.empty((len(fs), k), dtype=complex)
-    out.real = np.add.accumulate(tr.reshape(len(fs), width, k), axis=1)[:, -1] + 0.0
-    out.imag = np.add.accumulate(ti.reshape(len(fs), width, k), axis=1)[:, -1] + 0.0
+    out = np.zeros((len(fs), k), dtype=complex)
+    np.add.at(out.real, layout.series, tr)
+    np.add.at(out.imag, layout.series, ti)
     return out
 
 

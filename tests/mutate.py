@@ -128,6 +128,18 @@ MUTANTS = (
         "if f.center != x0:",
         "if False:",
     ),
+    Mutant(
+        "schur-passes-short",
+        "src/multiroot/schur.py",
+        "range(self.order + 1)",
+        "range(self.order)",
+    ),
+    Mutant(
+        "evaluate-pass-dropped",
+        "src/multiroot/series.py",
+        "for t, v, e in layout.passes:",
+        "for t, v, e in layout.passes[:-1]:",
+    ),
 )
 
 _IGNORE = shutil.ignore_patterns(

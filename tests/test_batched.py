@@ -39,8 +39,8 @@ from multiroot.rank import (
 from multiroot.series import (
     AnalyticSystem,
     TruncatedSeries,
-    _evaluate_padded,
-    _padded_layout,
+    _evaluate,
+    _evaluate_layout,
     _recenter_layout,
     jacobian_at,
     recenter_series,
@@ -116,7 +116,7 @@ def reference_evaluate(f: TruncatedSeries, x) -> complex:
 
 
 def evaluate_many(f: TruncatedSeries, points) -> np.ndarray:
-    return _evaluate_padded((f,), points)[0]
+    return _evaluate((f,), points)[0]
 
 
 class TestEvaluateMany:
@@ -266,7 +266,9 @@ class TestPivotResiduals:
 
 
 def reference_extraction(f: AnalyticSystem, x0, j0) -> tuple[tuple[int, ...], RankReport]:
-    """Extraction's subset choice, one subset at a time, and its rank report."""
+    """Extraction's subset choice, one subset at a time, and its rank report:
+    the smallest residual, a NaN residual last, and a tie to the first
+    subset."""
     n, s = f.dim, f.size
     values = system_evaluate(f, x0)
     x0a = np.array([complex(t) for t in x0])
@@ -277,9 +279,9 @@ def reference_extraction(f: AnalyticSystem, x0, j0) -> tuple[tuple[int, ...], Ra
             continue
         candidate = tuple(x0a - np.linalg.solve(j0[list(combo), :], values[list(combo)]))
         residual = float(np.linalg.norm([ts_evaluate(eq, candidate) for eq in f.equations]))
-        if best is None or (residual, combo) < best:
-            best = (residual, combo)
-    return best[1], numerical_rank(j0[list(best[1]), :])
+        if best is None or (math.isnan(residual), residual, combo) < best:
+            best = (math.isnan(residual), residual, combo)
+    return best[-1], numerical_rank(j0[list(best[-1]), :])
 
 
 class TestExtraction:
@@ -296,6 +298,27 @@ class TestExtraction:
             values = system_evaluate(f, x0)
             _square, chosen, report, _point = _extract_square_indexed(f, x0, j0, values)
             assert (chosen, report) == reference_extraction(f, x0, j0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_residual_ranks_last(self):
+        """{x - 1.5, y, x + 2y + 1e308 x^2 - 1e308 x^3} at the origin: the
+        Newton points of rows (0, 1) and (0, 2), (1.5, 0) and (1.5, -0.75),
+        take the third equation to inf - inf, a NaN residual (its exact value
+        is finite), and rows (1, 2) keep the origin, residual 1.5.  No numpy
+        warning is printed."""
+        origin = (0.0, 0.0)
+        f = AnalyticSystem(2, (
+            TruncatedSeries(origin, 3, {(1, 0): 1.0, (0, 0): -1.5}),
+            TruncatedSeries(origin, 3, {(0, 1): 1.0}),
+            TruncatedSeries(
+                origin, 3, {(1, 0): 1.0, (0, 1): 2.0, (2, 0): 1e308, (3, 0): -1e308}
+            ),
+        ), origin, 1.0)
+        j0 = jacobian_at(f, origin)
+        values = system_evaluate(f, origin)
+        _square, chosen, report, point = _extract_square_indexed(f, origin, j0, values)
+        assert (chosen, point) == ((1, 2), (0j, 0j))
+        assert (chosen, report) == reference_extraction(f, origin, j0)
 
     def test_benchmark_inputs(self, tmp_path):
         """The extraction rounds of the family inputs (8 per family, seed
@@ -592,7 +615,7 @@ class TestRecenterSeries:
         f = random_system(np.random.default_rng(17), n=2, s=2, degree=3)
         recenter_system(f, (0.1, 0.2))
         system_evaluate_many(f, [(0.1, 0.2)])
-        for cache in (_recenter_layout, _padded_layout):
+        for cache in (_recenter_layout, _evaluate_layout):
             assert cache.cache_info().maxsize == 64
         patterns = tuple((eq.order, tuple(eq.coefficients)) for eq in f.equations)
         layout = _recenter_layout(2, patterns)

@@ -369,6 +369,33 @@ class TestDeflationSequence:
             assert step.system.center == point
             assert (step.system.ball_center, step.system.ball_radius) == (C2, 1.0)
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda f, p: deflation_sequence(f, p, COMPLEX_EXACT).deflated,
+            lambda f, p: truncated_deflation(f, p, 0, COMPLEX_EXACT).deflated,
+            lambda f, p: select_detailed(f, p, COMPLEX_EXACT)[0],
+        ],
+        ids=["deflation_sequence", "truncated_deflation", "select_detailed"],
+    )
+    def test_point_outside_the_ball_is_an_error(self, run):
+        # {x^2 - 4, y} is centered at the origin in B(0, 1); its root (2, 0)
+        # lies outside, and so does (1, 0) on the sphere.  Every bound the
+        # gate rests on needs x0 inside the ball.
+        f = AnalyticSystem(
+            2, (TruncatedSeries(C2, 2, {(2, 0): 1.0, (0, 0): -4.0}),
+                TruncatedSeries(C2, 2, {(0, 1): 1.0})), C2, 1.0,
+        )
+        for point in [(2.0, 0.0), (1.0, 0.0)]:
+            with pytest.raises(DomainError, match="point lies outside the open ball"):
+                run(f, point)
+        # Inside the ball, off the series' center, {x^2 - 0.81, y} deflates
+        # at its root (0.9, 0).
+        g = f.with_equations(
+            (TruncatedSeries(C2, 2, {(2, 0): 1.0, (0, 0): -0.81}), f.equations[1])
+        )
+        assert run(g, (0.9, 0.0)).center == (0.9, 0.0)
+
     def test_far_point_gate_failure(self, gy2):
         system, _point, backend = gy2
         far = (0.5, 0.4)
