@@ -116,8 +116,6 @@ def _monomial_weight(alpha: tuple[int, ...], n: int, radius: float) -> float:
 
 
 def _series_norm_complex(f: TruncatedSeries, ball: BallContext) -> float:
-    if f.center != ball.omega:
-        f = ts_recenter(f, ball.omega, f.order)
     total = 0.0
     for alpha, c in f.coefficients.items():
         total += abs(c) ** 2 * _monomial_weight(alpha, ball.dim, ball.radius)
@@ -142,8 +140,6 @@ def _slice_moments(exponents: tuple[tuple[int, ...], ...], n: int, radius: float
 
 
 def _series_norm_slice_sq(f: TruncatedSeries, ball: BallContext) -> float:
-    if f.center != ball.omega:
-        f = ts_recenter(f, ball.omega, f.order)
     if not f.coefficients:
         return 0.0
     n = ball.dim
@@ -160,15 +156,18 @@ def _series_norm_slice_sq(f: TruncatedSeries, ball: BallContext) -> float:
 
 def _norm_pair(f: TruncatedSeries, ball: BallContext, backend: str) -> tuple[float, float]:
     """(``series_norm_a2``, the term ``norm_a2`` adds for f): the complex norm
-    and its square, or the slice norm and its unrounded square."""
+    and its square, or the slice norm and its unrounded square.  Both
+    backends sum over monomials centered at omega, so a series centered
+    elsewhere is expanded there first; the memo stays on f."""
     key = (ball.omega, ball.radius, _check_backend(backend))
     memo = f._norm  # read once: another thread may replace it
     if memo is None or memo[0] != key:
+        g = f if f.center == ball.omega else ts_recenter(f, ball.omega, f.order)
         if backend == COMPLEX_EXACT:
-            norm = _series_norm_complex(f, ball)
+            norm = _series_norm_complex(g, ball)
             pair = (norm, norm**2)
         else:
-            square = _series_norm_slice_sq(f, ball)
+            square = _series_norm_slice_sq(g, ball)
             pair = (math.sqrt(square), square)
         memo = f._norm = (key, pair)
     return memo[1]

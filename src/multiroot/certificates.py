@@ -115,28 +115,25 @@ def _alpha_threshold(gamma: float) -> float:
 def alpha_certificate(
     f: AnalyticSystem, x0: Sequence[complex], backend: str
 ) -> CertificateReport:
-    """Existence/uniqueness certificate at x0; a failed test is a report."""
+    """Existence/uniqueness certificate at x0; a failed test is a report.
+
+    A passing certificate's ball B(x0, theta_low) always lies inside the
+    ambient ball, so the report carries no note about it."""
     q = point_quantities(f, x0, backend)
     bound = _alpha_threshold(q.gamma)
-    notes: list[str] = []
     if q.alpha >= bound:
-        return CertificateReport(q, bound, False, None, None, None, tuple(notes))
+        return CertificateReport(q, bound, False, None, None, None)
+    # Why B(x0, theta_low) lies inside B(omega, R): with nu = ||x0 - omega|| / R
+    # and kappa >= (n+1) / (R (1 - nu^2)),
+    #     theta_low = 2 alpha / ((alpha + 1) + sqrt(disc)) / kappa
+    #              <= 2 alpha / kappa <= 2 alpha R (1 - nu)(1 + nu) / (n + 1),
+    # and the test passes only for alpha < 3 - sqrt 8 < 0.172 < (n+1)/(2(1+nu)),
+    # so theta_low < R (1 - nu) = R - ||x0 - omega||.
     disc = (q.alpha + 1.0) ** 2 - 4.0 * q.alpha * (q.gamma + 1.0)
     u_low = (q.alpha + 1.0 - math.sqrt(disc)) / (2.0 * (q.gamma + 1.0))
     theta_low = u_low / q.kappa
     theta_high = 1.0 / (q.kappa * (q.gamma + 1.0))
-    ball = BallContext.of(f)
-    offset = math.sqrt(
-        sum(abs(complex(a) - b) ** 2 for a, b in zip(x0, ball.omega))
-    )
-    if offset + theta_low >= ball.radius:
-        notes.append(
-            "B(x0, theta_low) is not contained in the ambient ball; the "
-            "certificate is not valid at this radius"
-        )
-    return CertificateReport(
-        q, bound, True, theta_low, theta_high, None, tuple(notes)
-    )
+    return CertificateReport(q, bound, True, theta_low, theta_high, None)
 
 
 def _gamma_radius_of(q: PointQuantities) -> float:
@@ -230,7 +227,9 @@ def rank_stability_radius(
 
     Requires 0 <= epsilon < min(2 - sqrt(2), sigma_r(zeta)/2) with sigma_r the
     smallest nonzero singular value of Df(zeta); the radius is
-    epsilon / (2 gamma_bar(f, zeta)) with gamma_bar its norm-based bound.
+    epsilon / (2 gamma_bar(f, zeta)) with gamma_bar its norm-based bound, 0.0
+    at epsilon = 0.  A zeta outside the open ball raises ``DomainError`` at
+    every epsilon.
     """
     if epsilon < 0:
         raise DomainError("epsilon must be nonnegative")
@@ -244,6 +243,4 @@ def rank_stability_radius(
         raise DomainError(
             f"epsilon = {epsilon:.6g} must be below min(2 - sqrt 2, sigma_r/2) = {cap:.6g}"
         )
-    if epsilon == 0.0:
-        return 0.0
     return epsilon / (2.0 * gamma_bar_bound(f, zeta, backend))

@@ -281,7 +281,10 @@ def select_detailed(
       eta(0) and the zero floor ZERO_RTOL (1 + max_coeff), the child is
       nonzero and fails: its parent is retained and no derivative is built.
       A variable with no positive exponent has an empty derivative and is
-      skipped.
+      skipped.  A passing node of order 0 has no live variable and so no
+      child: it is numerically the zero function at this truncation order,
+      and its branch retains nothing (the recursive algorithm runs on an
+      empty set).
     """
     x0 = tuple(complex(v) for v in x0)
     ball = BallContext.of(f)
@@ -321,11 +324,6 @@ def select_detailed(
             return True
         if not _gate(ball, series_norm_a2(eq, ball, backend), value).passed:
             return True
-        if eq.order == 0:
-            # A passer with nothing left to differentiate is numerically the
-            # zero function at this truncation order; the branch contributes
-            # no equation (the recursive algorithm runs on an empty set).
-            return False
         top = max_coeff(eq)
         zero_floor = ZERO_RTOL * (1.0 + top)
         live = [i for i, column in enumerate(zip(*eq.coefficients)) if any(column)]
@@ -373,15 +371,15 @@ def _pivot_residuals(
     """||K(f)(x0)|| for each candidate pivot (rows[i], cols[i]): the pivot
     equations' values and the evaluated Schur-complement entries
     D - C A^{-1} B, over the complementary rows and columns, for the whole
-    stack of candidates at once."""
+    stack of candidates at once.  With no complementary row the Schur block
+    is empty and adds 0.0."""
     acc = np.sum(np.abs(values[rows]) ** 2, axis=-1)
-    if other_rows.shape[1] and other_cols.shape[1]:
-        a = j0[rows[:, :, None], cols[:, None, :]]
-        b = j0[rows[:, :, None], other_cols[:, None, :]]
-        c = j0[other_rows[:, :, None], cols[:, None, :]]
-        d = j0[other_rows[:, :, None], other_cols[:, None, :]]
-        schur = d - c @ np.linalg.solve(a, b)
-        acc = acc + np.sum(np.abs(schur.reshape(len(acc), -1)) ** 2, axis=-1)
+    a = j0[rows[:, :, None], cols[:, None, :]]
+    b = j0[rows[:, :, None], other_cols[:, None, :]]
+    c = j0[other_rows[:, :, None], cols[:, None, :]]
+    d = j0[other_rows[:, :, None], other_cols[:, None, :]]
+    schur = d - c @ np.linalg.solve(a, b)
+    acc = acc + np.sum(np.abs(schur.reshape(len(acc), -1)) ** 2, axis=-1)
     return np.sqrt(acc)
 
 
@@ -395,18 +393,6 @@ def _subsets(m: int, r: int) -> np.ndarray:
     return chosen
 
 
-@functools.lru_cache(maxsize=64)
-def _complements(m: int, r: int) -> np.ndarray:
-    """Row i holds the complement of the i-th r-subset of ``_subsets(m, r)``,
-    in ascending order; read-only, built once per shape."""
-    chosen = _subsets(m, r)
-    keep = np.ones((len(chosen), m), dtype=bool)
-    keep[np.arange(len(chosen))[:, None], chosen] = False
-    others = np.nonzero(keep)[1].reshape(len(chosen), m - r)
-    others.flags.writeable = False
-    return others
-
-
 def _kerneling_pivots(
     j0: np.ndarray, values: np.ndarray, r: int, scale: float
 ) -> tuple[tuple[int, ...], tuple[int, ...], float]:
@@ -418,9 +404,10 @@ def _kerneling_pivots(
 
     Among all nonsingular r x r pivot blocks, take the one minimizing the
     kerneling residual ||K(f)(x0)|| (the quantity the kerneling acceptance
-    inequality tests).  Candidates within 0.1% of the best are tied and
-    resolved by smallest column indices, then smallest row indices, read off
-    the subsets' lexicographic numbering.
+    inequality tests); when the block takes every row (s == r), that is the
+    norm of the pivot equations' values.  Candidates within 0.1% of the best
+    are tied and resolved by smallest column indices, then smallest row
+    indices, read off the subsets' lexicographic numbering.
     sigma_min is the block's smallest singular value.  More candidate blocks
     than ``_PIVOT_BRUTE_LIMIT`` raise ``RankDeficiencyError`` naming the
     count.
@@ -442,8 +429,10 @@ def _kerneling_pivots(
             f"no nonsingular {r}x{r} pivot block found (rank report disagrees "
             "with the matrix)"
         )
+    # Row i of _subsets(m, m - r)[::-1] is the complement of rows_a[i].
     residuals = _pivot_residuals(
-        j0, values, rows_a[ii], cols_a[jj], _complements(s, r)[ii], _complements(n, r)[jj]
+        j0, values, rows_a[ii], cols_a[jj],
+        _subsets(s, s - r)[::-1][ii], _subsets(n, n - r)[::-1][jj],
     )
     band = residuals.min() * (1.0 + 1e-3) + 1e-15 * scale
     tied = np.flatnonzero(residuals <= band)
@@ -479,7 +468,11 @@ def _extract_square_indexed(
 ) -> tuple[AnalyticSystem, tuple[int, ...], RankReport, tuple[complex, ...]]:
     """Extraction given the Jacobian j0 of f at x0, already read as rank n,
     and f's values at x0: (square system, its equation indices, its rank
-    report, its Newton point x0 - J_S^{-1} F_S(x0))."""
+    report, its Newton point x0 - J_S^{-1} F_S(x0)).
+
+    Every admitted subset S is ranked by one residual, ||f|| at its Newton
+    point; a NaN ranks last, and a tie goes to the first subset, since
+    subsets are numbered lexicographically."""
     n = f.dim
     count = math.comb(f.size, n)
     if count > _EXTRACT_BRUTE_LIMIT:
@@ -497,20 +490,8 @@ def _extract_square_indexed(
     # Each admitted subset's Newton point, and every equation at all of them.
     delta = np.linalg.solve(j0[admitted], values[admitted][..., None])[..., 0]
     points = np.array([complex(t) for t in x0]) - delta
-    at_points = system_evaluate_many(f, points)
-    # The batched norms differ from the per-row ones by about s eps
-    # relative, so every subset that can tie the smallest exact residual
-    # lies within 1e-12 of the smallest estimate.  A NaN residual ranks
-    # last: NaN estimates fall outside the band, and only when every
-    # estimate is NaN is every subset compared.
-    estimate = np.linalg.norm(at_points, axis=1)
-    low = np.fmin.reduce(estimate)
-    near = (
-        np.arange(len(admitted)) if np.isnan(low)
-        else np.flatnonzero(estimate <= low * (1.0 + 1e-12))
-    )
-    # A tie goes to the first subset: subsets are numbered lexicographically.
-    _residual, best = min((float(np.linalg.norm(at_points[k])), k) for k in near.tolist())
+    residuals = [float(np.linalg.norm(row)) for row in system_evaluate_many(f, points)]
+    best = min(range(len(residuals)), key=lambda k: (math.isnan(residuals[k]), residuals[k]))
     chosen = tuple(admitted[best].tolist())
     square = f._with(f.equations[i] for i in chosen)
     return square, chosen, rank_from_singular_values(sigmas[best]), tuple(points[best].tolist())
@@ -521,8 +502,9 @@ def extract_square(f: AnalyticSystem, x0: Sequence[complex]) -> AnalyticSystem:
 
     Among all n-subsets of equations, those the threshold-free rank test
     reads as full rank are admitted; of these, the subset whose Newton point
-    best satisfies the whole system is taken (a NaN residual ranks last), in
-    ascending equation order.
+    best satisfies the whole system is taken (a NaN residual ranks last, and
+    a tie goes to the lexicographically first subset), in ascending equation
+    order.
     More subsets than ``_EXTRACT_BRUTE_LIMIT`` raise ``ExtractionError``
     naming the count.
     """

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import StructuralError
+
 __all__ = [
     "RankReport",
     "rounding_floor",
@@ -76,18 +78,21 @@ def rounding_floor(shape: tuple[int, ...], scale):
 def singular_values(m, scale: float | None = None) -> np.ndarray:
     """Nonincreasing singular values of m, or of each matrix of a stack
     m[..., rows, cols]; those at or below ``rounding_floor`` are returned as
-    exact 0.0.  Wide matrices are transposed first.
+    exact 0.0.  Wide matrices are transposed first.  A matrix with no rows
+    or no columns raises ``StructuralError``; a stack of no matrices gives
+    an empty stack.
 
     ``scale`` defaults to each matrix's own largest singular value; for
     blocks cut out of a larger matrix J, pass ||J||.
     """
     m = np.atleast_2d(np.asarray(m, dtype=complex))
+    if not min(m.shape[-2:]):
+        raise StructuralError(f"a {m.shape[-2]} x {m.shape[-1]} matrix has no singular values")
     if m.shape[-2] < m.shape[-1]:
         m = np.swapaxes(m, -1, -2)
     sigma = np.linalg.svd(m, compute_uv=False)
-    if sigma.shape[-1]:
-        top = sigma[..., :1] if scale is None else scale
-        sigma[sigma <= rounding_floor(m.shape[-2:], top)] = 0.0
+    top = sigma[..., :1] if scale is None else scale
+    sigma[sigma <= rounding_floor(m.shape[-2:], top)] = 0.0
     return sigma
 
 

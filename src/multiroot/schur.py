@@ -81,11 +81,6 @@ class SchurLayout:
         self.order = order
         other_rows = [i for i in range(rows) if i not in row_idx]
         other_cols = [j for j in range(cols) if j not in col_idx]
-        # The pivot may take every row (s == r); kerneling keeps r < n, so it
-        # never takes every column.
-        self.empty = (0, len(other_cols)) if not other_rows else None
-        if self.empty:
-            return
         ii, jj, exps = pattern[:, 0], pattern[:, 1], pattern[:, 2:]
         # With R = order + 1, exponent a is coded as |a| R^n + sum_i a_i R^i.
         # Each a_i and |a| is at most order, so the code is one-to-one and
@@ -136,10 +131,8 @@ class SchurLayout:
     def solve(self, values) -> tuple[list[tuple[int, ...]], np.ndarray]:
         """``monos`` and the coefficients (M, rows - r, cols - r) of
         D - C A^{-1} B, truncated at ``order``, for the values of the
-        pattern's terms; a single zero exponent when the pivot takes every
-        row."""
-        if self.empty:
-            return [()], np.zeros((1, *self.empty), dtype=complex)
+        pattern's terms.  A pivot that takes every row leaves no entry, and
+        its block is checked for singularity as any other."""
         coeffs = np.zeros(self.size, dtype=complex)
         coeffs[self.positions] = values
         a0 = coeffs[self.a0]

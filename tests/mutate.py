@@ -97,14 +97,6 @@ MUTANTS = (
         "ZERO_RTOL = 1e-10",
     ),
     Mutant(
-        "theta-low-strict",
-        "src/multiroot/certificates.py",
-        "if offset + theta_low >= ball.radius:",
-        "if offset + theta_low > ball.radius:",
-        survives="the rules differ only where offset + theta_low equals R to the last "
-        "bit, which no test input reaches; the CLI centers the ball at x0",
-    ),
-    Mutant(
         "report-keeps-tuples",
         "src/multiroot/cli.py",
         "value = list(value)",
@@ -139,6 +131,18 @@ MUTANTS = (
         "src/multiroot/series.py",
         "for t, v, e in layout.passes:",
         "for t, v, e in layout.passes[:-1]:",
+    ),
+    Mutant(
+        "extract-nan-first",
+        "src/multiroot/deflation.py",
+        "key=lambda k: (math.isnan(residuals[k]), residuals[k])",
+        "key=lambda k: residuals[k]",
+    ),
+    Mutant(
+        "complements-unreversed",
+        "src/multiroot/deflation.py",
+        "_subsets(s, s - r)[::-1][ii]",
+        "_subsets(s, s - r)[ii]",
     ),
 )
 

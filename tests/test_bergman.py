@@ -121,6 +121,11 @@ class TestNormA2:
             b = series_norm_a2(shifted, BALL, backend)
             assert a == pytest.approx(b, rel=1e-12)
 
+    @pytest.mark.parametrize("backend", [COMPLEX_EXACT, APPENDIX_SLICE])
+    @pytest.mark.parametrize("center", [C2, (0.3, -0.2)])
+    def test_series_with_no_terms(self, backend, center):
+        assert series_norm_a2(TruncatedSeries(center, 2, {}), BALL, backend) == 0.0
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_appendix_slice_against_quadrature(self, n):
         # the closed-form real-ball moments against a tensor quadrature that

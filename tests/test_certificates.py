@@ -322,6 +322,12 @@ class TestRankStabilityRadius:
         f = exact_selected_f0()
         assert rank_stability_radius(f, C2, 0.0, COMPLEX_EXACT) == 0.0
 
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_zeta_outside_the_ball_is_an_error(self, eps):
+        f = exact_selected_f0()
+        with pytest.raises(DomainError, match="outside the open ball"):
+            rank_stability_radius(f, (1.5, 0.0), eps, COMPLEX_EXACT)
+
     def test_epsilon_above_cap_rejected(self):
         f = exact_selected_f0()
         with pytest.raises(DomainError):

@@ -13,6 +13,8 @@ from multiroot.deflation import (
     _EXTRACT_BRUTE_LIMIT,
     _PIVOT_BRUTE_LIMIT,
     _kerneling_pivots,
+    _pivot_residuals,
+    _subsets,
     ALPHA0,
     deflation_sequence,
     eta_threshold,
@@ -29,6 +31,7 @@ from multiroot.errors import (
     ExtractionError,
     HypothesisFailure,
     RankDeficiencyError,
+    SingularPivotError,
     TruncationExhaustedError,
 )
 from multiroot.rank import numerical_rank, singular_values
@@ -59,6 +62,7 @@ from conftest import (
 from test_batched import _load_gen
 
 C2 = (0.0, 0.0)
+C3 = (0.0, 0.0, 0.0)
 GEN = _load_gen()
 
 # 12 x 6 of rank 3: more candidate pivot blocks than the search cap.
@@ -267,6 +271,33 @@ class TestKernelingPivots:
         j0 = np.array([[0, 1], [1, 0]], dtype=complex)
         assert _kerneling_pivots(j0, np.zeros(2, dtype=complex), 1, 1.0) == ((1,), (0,), 1.0)
 
+    def test_pivot_taking_every_row(self):
+        # s == r: a 2 x 3 Jacobian of rank 2.  Every candidate takes both
+        # rows, so its Schur block is empty and its residual is ||values||.
+        j0 = np.array([[1, 2, 0], [2, 4, 1]], dtype=complex)
+        values = np.array([3e-7, -4e-7j])
+        got = _pivot_residuals(
+            j0, values, np.array([[0, 1]] * 2), np.array([[0, 2], [1, 2]]),
+            np.zeros((2, 0), dtype=int), np.array([[1], [0]]),
+        )
+        want = np.sqrt(np.sum(np.abs(values) ** 2))
+        assert np.array_equal(got.view(np.uint64), np.full(2, want).view(np.uint64))
+        # Columns (0, 1) are singular; (0, 2) and (1, 2) tie and the smaller
+        # columns win.
+        rows, cols, sigma_min = _kerneling_pivots(j0, values, 2, float(np.linalg.norm(j0, 2)))
+        assert (rows, cols) == ((0, 1), (0, 2))
+        assert sigma_min == singular_values(j0[:, [0, 2]])[-1]
+
+    def test_reversed_subsets_are_the_complements(self):
+        # Pivot residuals take row i of _subsets(m, m - r)[::-1] as the
+        # complement of row i of _subsets(m, r).
+        for m in range(1, 11):
+            for r in range(m + 1):
+                others = _subsets(m, m - r)[::-1]
+                assert others.shape == (math.comb(m, r), m - r)
+                for chosen, rest in zip(_subsets(m, r).tolist(), others.tolist()):
+                    assert rest == sorted(set(range(m)) - set(chosen))
+
 
 class TestKernelOp:
     def test_worked_example(self, gy2_trace):
@@ -297,6 +328,29 @@ class TestKernelOp:
         [pivot_row] = kerneled.equations
         assert pivot_row.order == 2
         assert pivot_row.coefficients == eq.coefficients
+
+    def test_two_by_two_pivot_taking_every_row(self):
+        # {x + y^2 + 2yz, z + x^2 + 3xyz}, pivot rows (0, 1) and columns
+        # (0, 2): the pivot rows at order 2, and no Schur entry.
+        eqs = (
+            TruncatedSeries(C3, 3, {(1, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 1, 1): 2.0}),
+            TruncatedSeries(C3, 3, {(0, 0, 1): 1.0, (2, 0, 0): 1.0, (1, 1, 1): 3.0}),
+        )
+        kerneled = kernel_op(AnalyticSystem(3, eqs, C3, 1.0), ((0, 1), (0, 2)))
+        assert [eq.order for eq in kerneled.equations] == [2, 2]
+        assert [eq.coefficients for eq in kerneled.equations] == [
+            eqs[0].coefficients, {(0, 0, 1): 1.0, (2, 0, 0): 1.0},
+        ]
+
+    def test_singular_pivot_taking_every_row_is_rejected(self):
+        # {x + y, 2x + 2y + z^2}: the block of rows (0, 1) and columns (0, 1)
+        # is [[1, 1], [2, 2]], singular as every other such block.
+        eqs = (
+            TruncatedSeries(C3, 2, {(1, 0, 0): 1.0, (0, 1, 0): 1.0}),
+            TruncatedSeries(C3, 2, {(1, 0, 0): 2.0, (0, 1, 0): 2.0, (0, 0, 2): 1.0}),
+        )
+        with pytest.raises(SingularPivotError):
+            kernel_op(AnalyticSystem(3, eqs, C3, 1.0), ((0, 1), (0, 1)))
 
 
 def assert_failed_round_step(trace, rank):

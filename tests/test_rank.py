@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from multiroot.errors import StructuralError
 from multiroot.rank import (
     elementary_symmetric,
     numerical_rank,
@@ -47,6 +48,18 @@ class TestSingularValues:
     def test_wide_matrix_transposed(self):
         m = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         assert len(singular_values(m)) == 2
+
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 2)])
+    def test_empty_matrix_is_rejected(self, shape):
+        # A matrix with no rows or no columns has no rank to test.
+        message = f"^a {shape[0]} x {shape[1]} matrix has no singular values$"
+        with pytest.raises(StructuralError, match=message):
+            singular_values(np.zeros(shape))
+        with pytest.raises(StructuralError, match=message):
+            numerical_rank(np.zeros(shape))
+
+    def test_empty_stack(self):
+        assert singular_values(np.zeros((0, 3, 2))).shape == (0, 2)
 
 
 class TestElementarySymmetric:
