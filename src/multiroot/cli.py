@@ -85,28 +85,55 @@ def _is_int(value: Any) -> bool:
 def _is_finite(value: Any) -> bool:
     """A finite JSON number: not a boolean, NaN, an infinity or an integer
     too large for a float."""
-    if not (_is_int(value) or isinstance(value, float)):
-        return False
+    return type(value) is not list and _number(value) is not None
+
+
+_REAL = (int, float)
+
+
+def _number(value: Any) -> complex | None:
+    """A finite JSON number or an [re, im] pair of them as a complex, else
+    None.  JSON gives exact types, and a boolean is neither an int nor a
+    float here."""
+    if type(value) is list:
+        if len(value) != 2:
+            return None
+        re, im = value
+    else:
+        re, im = value, 0.0
+    if type(re) not in _REAL or type(im) not in _REAL:
+        return None
     try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+        z = complex(re, im)
+    except OverflowError:  # an integer too large for a float
+        return None
+    return z if math.isfinite(z.real) and math.isfinite(z.imag) else None
 
 
 def _read_complex(value: Any, where: str) -> complex:
-    if _is_finite(value):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(_is_finite(v) for v in value):
-        return complex(value[0], value[1])
-    raise ParseError(f"{where}: expected a number or an [re, im] pair, got {value!r}")
+    z = _number(value)
+    if z is None:
+        raise ParseError(f"{where}: expected a number or an [re, im] pair, got {value!r}")
+    return z
+
+
+def _term_error(i: int, t: int, what: str) -> ParseError:
+    return ParseError(f"field 'equations'[{i}][{t}]: {what}")
 
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
     except FileNotFoundError as exc:
         raise ParseError(f"input file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    if "\r" in text:
+        # Line ends as text mode reads them, which the error positions count.
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -157,42 +184,41 @@ def parse_system(
             "threshold eta is defined for n >= 2"
         )
 
+    # One pass over the terms; an error's location is formatted only when
+    # it is raised.  Every check of the TruncatedSeries and AnalyticSystem
+    # constructors is made here (exponents' length and sign, the order at
+    # least each degree, a finite radius > 0, one center inside the ball),
+    # so the series and the system are built without them.
     polynomials = []
     for i, terms in enumerate(equations_raw):
-        where = f"field 'equations'[{i}]"
-        if not isinstance(terms, list) or not terms:
-            raise ParseError(f"{where}: expected a nonempty list of terms")
+        if type(terms) is not list or not terms:
+            raise ParseError(f"field 'equations'[{i}]: expected a nonempty list of terms")
         coeffs: dict[tuple[int, ...], complex] = {}
-        degree = 0
         for t, term in enumerate(terms):
-            twhere = f"{where}[{t}]"
-            if not (isinstance(term, list) and len(term) == 2):
-                raise ParseError(f"{twhere}: expected [coefficient, exponents]")
-            coef = _read_complex(term[0], twhere)
-            exps = term[1]
-            if not (
-                isinstance(exps, list)
-                and all(_is_int(e) and e >= 0 for e in exps)
-            ):
-                raise ParseError(f"{twhere}: exponents must be nonnegative integers")
+            if type(term) is not list or len(term) != 2:
+                raise _term_error(i, t, "expected [coefficient, exponents]")
+            coef, exps = term
+            z = _number(coef)
+            if z is None:
+                raise _term_error(i, t, f"expected a number or an [re, im] pair, got {coef!r}")
+            if type(exps) is not list or not all(type(e) is int and e >= 0 for e in exps):
+                raise _term_error(i, t, "exponents must be nonnegative integers")
             if len(exps) != n:
-                raise ParseError(
-                    f"{twhere}: exponent list has length {len(exps)}, expected {n}"
-                )
+                raise _term_error(i, t, f"exponent list has length {len(exps)}, expected {n}")
             alpha = tuple(exps)
-            degree = max(degree, sum(alpha))
-            coeffs[alpha] = coeffs.get(alpha, 0.0) + coef
-        polynomials.append((degree, coeffs))
+            coeffs[alpha] = coeffs.get(alpha, 0.0) + z
+        polynomials.append((max(map(sum, coeffs)), coeffs))
     if order is None:
         # Without an order nothing the input lists is truncated away.
         order = max(degree for degree, _coeffs in polynomials)
     # Exact polynomials around the origin, then one recentering pass.
+    origin = (0j,) * n
     full = [
-        TruncatedSeries((0.0,) * n, max(degree, order), coeffs)
+        TruncatedSeries._of(origin, max(degree, order), coeffs)
         for degree, coeffs in polynomials
     ]
     equations = recenter_series(full, point, [order] * len(full))
-    system = AnalyticSystem(n, equations, point, float(radius))
+    system = AnalyticSystem._of(n, equations, point, float(radius))
     options = {"order": order, "backend": backend, "vars": [str(v) for v in vars_]}
     return system, point, options
 

@@ -124,10 +124,19 @@ class TruncatedSeries:
         exponents come from series that ``__init__`` already checked.  Skips
         those checks but normalises the coefficients exactly as ``__init__``
         does: zero terms dropped, each value 0.0 + c."""
+        normalised = {a: 0.0 + c for a, c in coefficients.items() if c != 0}
+        return cls._stored(center, order, normalised)
+
+    @classmethod
+    def _stored(
+        cls, center: Point, order: int, coefficients: dict[Exponent, complex]
+    ) -> "TruncatedSeries":
+        """``_of`` for coefficients already as a series stores them, no zero
+        and each value 0.0 + c: the dict is kept as it is."""
         self = object.__new__(cls)
         self.center = center
         self.order = order
-        self.coefficients = {a: 0.0 + c for a, c in coefficients.items() if c != 0}
+        self.coefficients = coefficients
         self._norm = None
         return self
 
@@ -162,7 +171,7 @@ def ts_truncate(f: TruncatedSeries, order: int) -> TruncatedSeries:
     if order < 0:
         raise StructuralError("series order must be nonnegative")
     coeffs = {a: c for a, c in f.coefficients.items() if sum(a) <= order}
-    return TruncatedSeries._of(f.center, order, coeffs)
+    return TruncatedSeries._stored(f.center, order, coeffs)
 
 
 def ts_derivative(f: TruncatedSeries, var: int) -> TruncatedSeries:
@@ -295,16 +304,15 @@ class _RecenterLayout:
     end to end in one table, which ``powers`` describes entry by entry as
     (i, a - b, comb(a, b)).  Each contribution has its term (``term``), its
     factor ids in the table, one row per variable (``factors``), and its
-    output slot (``slot``).  A slot is one output exponent of one series
-    (``slot_exponents``, ``slot_series``), numbered in the order of its first
+    output slot (``slot``).  A slot is one output exponent of one series,
+    ``slots[k]`` = (series, exponent), numbered in the order of its first
     contribution.
     """
 
     def __init__(self, n: int, patterns: tuple[tuple[int, tuple[Exponent, ...]], ...]):
         offsets: dict[tuple[int, int], int] = {}
         term, factors, slot = [], [], []
-        self.slot_exponents: list[Exponent] = []
-        self.slot_series: list[int] = []
+        self.slots: list[tuple[int, Exponent]] = []
         t = size = 0
         for s, (order, exponents) in enumerate(patterns):
             slots: dict[Exponent, int] = {}
@@ -321,9 +329,8 @@ class _RecenterLayout:
                         continue
                     k = slots.get(beta)
                     if k is None:
-                        k = slots[beta] = len(self.slot_exponents)
-                        self.slot_exponents.append(beta)
-                        self.slot_series.append(s)
+                        k = slots[beta] = len(self.slots)
+                        self.slots.append((s, beta))
                     term.append(t)
                     factors.append([start + b for start, b in zip(starts, beta)])
                     slot.append(k)
@@ -349,6 +356,8 @@ def _recenter_layout(
     return _RecenterLayout(n, patterns)
 
 
+# inf and NaN propagate as in Python's arithmetic, without warnings.
+@np.errstate(all="ignore")
 def recenter_series(
     fs: Sequence[TruncatedSeries], new_center: Sequence[complex], new_orders: Sequence[int]
 ) -> tuple[TruncatedSeries, ...]:
@@ -389,23 +398,25 @@ def recenter_series(
     delta = [nc - oc for nc, oc in zip(new_center, center)]
     table = np.array([c * delta[i] ** power for i, power, c in layout.powers], dtype=complex)
     coeffs = np.array([c for f in fs for c in f.coefficients.values()], dtype=complex)
-    sums = np.zeros(len(layout.slot_exponents), dtype=complex)
-    # inf and NaN propagate as in Python's arithmetic, without warnings.
-    with np.errstate(all="ignore"):
-        w, q = coeffs[layout.term], table[layout.factors]
-        wr, wi = w.real, w.imag
-        for qr, qi in zip(q.real, q.imag):
-            wr, wi = wr * qr - wi * qi, wr * qi + wi * qr
-        np.add.at(sums.real, layout.slot, wr)
-        np.add.at(sums.imag, layout.slot, wi)
-    # An exponent comes at its first nonzero contribution (a NaN is nonzero);
-    # ``_of`` drops the zero sums.
-    values = sums.tolist()
+    sums = np.zeros(len(layout.slots), dtype=complex)
+    w, q = coeffs[layout.term], table[layout.factors]
+    wr, wi = w.real, w.imag
+    for qr, qi in zip(q.real, q.imag):
+        wr, wi = wr * qr - wi * qi, wr * qi + wi * qr
+    np.add.at(sums.real, layout.slot, wr)
+    np.add.at(sums.imag, layout.slot, wi)
+    # An exponent comes at its first nonzero contribution (a NaN is nonzero),
+    # and is written once, as ``_of`` would store it.
+    values, slots = sums.tolist(), layout.slots
     out: list[dict[Exponent, complex]] = [{} for _ in fs]
-    for k in dict.fromkeys(layout.slot[(wr != 0) | (wi != 0)].tolist()):
-        out[layout.slot_series[k]][layout.slot_exponents[k]] = values[k]
+    for k in dict.fromkeys(layout.slot[np.logical_or(wr, wi)].tolist()):
+        c = values[k]
+        if c != 0:
+            s, beta = slots[k]
+            out[s][beta] = 0.0 + c
     return tuple(
-        TruncatedSeries._of(new_center, order, coeffs) for order, coeffs in zip(new_orders, out)
+        TruncatedSeries._stored(new_center, order, coeffs)
+        for order, coeffs in zip(new_orders, out)
     )
 
 

@@ -7,9 +7,11 @@ loads this checkout's ``multiroot`` package and OTHER_CHECKOUT's under two
 names in one interpreter, parses the same generated inputs with each, and
 runs ``deflation_sequence``, ``newton_iterate(f, x0, 4)`` and
 ``singular_alpha_certificate`` on every input under both, alternating which
-goes first from one call to the next.  It prints each operation's process
-time per call under both and the ratio this / other; below 1 this checkout
-is faster.  The per-rep ratios show the spread.
+goes first from one call to the next.  It times ``cli.parse_system`` on
+every input file the same way.  It prints each operation's process time per
+call under both and the ratio this / other; below 1 this checkout is
+faster.  The per-rep ratios show the spread.  The ``total`` row sums
+deflate, solve and certify; ``parse`` is its own row.
 
 Both packages see the same machine state within microseconds of each other,
 so a change of ~10% shows here in a few seconds where whole benchmark runs
@@ -37,6 +39,7 @@ sys.path.insert(0, str(REPO / "perfbench"))
 import gen  # noqa: E402
 
 OPS = ("deflate", "solve", "certify")
+TIMED = (*OPS, "parse")
 SOLVE_STEPS = 4
 
 
@@ -56,13 +59,15 @@ def load_package(name: str, src: Path):
 
 
 def calls(mr, path: Path):
-    """The three operations of one input, bound to the package ``mr``."""
-    system, point, options = sys.modules[f"{mr.__name__}.cli"].parse_system(str(path))
+    """The timed operations of one input, bound to the package ``mr``."""
+    parse_system = sys.modules[f"{mr.__name__}.cli"].parse_system
+    system, point, options = parse_system(str(path))
     backend = options["backend"]
     return {
         "deflate": lambda: mr.deflation_sequence(system, point, backend),
         "solve": lambda: mr.newton_iterate(system, point, SOLVE_STEPS, backend),
         "certify": lambda: mr.singular_alpha_certificate(system, point, backend),
+        "parse": lambda: parse_system(str(path)),
     }
 
 
@@ -98,27 +103,30 @@ def main(argv: list[str] | None = None) -> int:
         "this": load_package("multiroot_this", REPO / "src"),
         "other": load_package("multiroot_other", args.other.resolve() / "src"),
     }
+    # The input files stay on disk while ``parse`` is timed.
     with tempfile.TemporaryDirectory() as tmp:
         paths = inputs(args.workload, args.seed, args.count, Path(tmp))
         work = [{side: calls(mr, p) for side, mr in sides.items()} for p in paths]
-    for side in sides:  # warm-up, untimed
-        for fn in work[0][side].values():
-            timed(fn)
-    # totals[rep][op][side], in seconds.
-    totals = [{op: dict.fromkeys(sides, 0.0) for op in OPS} for _ in range(args.reps)]
-    turn = 0
-    for rep in range(args.reps):
-        for item in work:
-            for op in OPS:
-                order = list(sides) if turn % 2 == 0 else list(reversed(sides))
-                turn += 1
-                for side in order:
-                    totals[rep][op][side] += timed(item[side][op])
-    # ms per call of each op; the total is ms per input for all three.
+        for side in sides:  # warm-up, untimed
+            for fn in work[0][side].values():
+                timed(fn)
+        # totals[rep][op][side], in seconds.
+        totals = [{op: dict.fromkeys(sides, 0.0) for op in TIMED} for _ in range(args.reps)]
+        for rep in range(args.reps):
+            for k, item in enumerate(work):
+                # Which side goes first alternates from one input to the next
+                # for each op, and from one op to the next for each input.
+                for j, op in enumerate(TIMED):
+                    turn = rep * len(work) + k + j
+                    order = list(sides) if turn % 2 == 0 else list(reversed(sides))
+                    for side in order:
+                        totals[rep][op][side] += timed(item[side][op])
+    # ms per call of each op; the total is ms per input for deflate, solve
+    # and certify.
     scale = 1e3 / (args.reps * len(work))
     print(f"{args.workload}, seed {args.seed}: {len(work)} inputs x {args.reps} reps")
     print(f"{'op':8s} {'this_ms':>9s} {'other_ms':>9s} {'ratio':>7s}  per-rep ratios")
-    for op in ("total", *OPS):
+    for op in ("total", *TIMED):
         picked = OPS if op == "total" else (op,)
         per_rep = [{s: sum(t[o][s] for o in picked) for s in sides} for t in totals]
         this = sum(r["this"] for r in per_rep)

@@ -144,6 +144,18 @@ MUTANTS = (
         "_subsets(s, s - r)[::-1][ii]",
         "_subsets(s, s - r)[ii]",
     ),
+    Mutant(
+        "alpha-threshold-subtractive",
+        "src/multiroot/certificates.py",
+        "return 1.0 / (2.0 * gamma + 1.0 + math.sqrt((2.0 * gamma + 1.0) ** 2 - 1.0))",
+        "return 2.0 * gamma + 1.0 - math.sqrt((2.0 * gamma + 1.0) ** 2 - 1.0)",
+    ),
+    Mutant(
+        "parse-exponent-sign",
+        "src/multiroot/cli.py",
+        "type(e) is int and e >= 0 for e in exps",
+        "type(e) is int for e in exps",
+    ),
 )
 
 _IGNORE = shutil.ignore_patterns(

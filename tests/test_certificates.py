@@ -6,6 +6,10 @@ import pytest
 
 from multiroot.bergman import APPENDIX_SLICE, COMPLEX_EXACT, BallContext, kappa
 from multiroot.certificates import (
+    PointQuantities,
+    _alpha_threshold,
+    _gamma_radius_of,
+    _u_low,
     alpha_certificate,
     deflated_gamma_bound,
     deflated_radius_formula,
@@ -161,6 +165,54 @@ class TestAlphaCertificate:
         report = alpha_certificate(bumped, point, backend)
         assert not report.alpha_ok
         assert report.theta_low is None and report.theta_high is None
+
+
+class TestRationalisedForms:
+    """The alpha threshold, the window's low end u_low and the gamma radius
+    keep their digits as gamma grows: each is a - sqrt(b) computed as
+    (a^2 - b) / (a + sqrt(b)), checked against the difference taken in
+    50-digit arithmetic."""
+
+    GAMMAS = [1.0, 6.0, 1e5, 1e7, 1e8]
+
+    @staticmethod
+    def assert_close(got, want):
+        assert got > 0
+        assert abs(got - float(want)) <= 1e-14 * abs(float(want))
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_against_fifty_digits(self, gamma):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            g = mpmath.mpf(gamma)
+            bound = 2 * g + 1 - mpmath.sqrt((2 * g + 1) ** 2 - 1)
+            self.assert_close(_alpha_threshold(gamma), bound)
+            for alpha in (float(bound) / 2, float(bound) * 1e-3):
+                a = mpmath.mpf(alpha)
+                disc = (a + 1) ** 2 - 4 * a * (g + 1)
+                u_low = (a + 1 - mpmath.sqrt(disc)) / (2 * (g + 1))
+                self.assert_close(_u_low(alpha, gamma), u_low)
+            q = PointQuantities(0.0, 1.0, 3.0, 1.0, gamma, 0.0, 0.0)
+            radius = (2 * g + 1 - mpmath.sqrt(4 * g * g + 3 * g)) / (3 * (g + 1))
+            self.assert_close(_gamma_radius_of(q), radius)
+
+    @pytest.mark.parametrize("backend", [COMPLEX_EXACT, APPENDIX_SLICE])
+    def test_exact_root_near_the_sphere_passes(self, backend):
+        # A linear system that vanishes at x0, with ||x0 - omega|| / R =
+        # 0.9999: gamma exceeds 1e8, where the subtraction read 0.0.
+        rng = np.random.default_rng(29)
+        for _ in range(4):
+            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) + 2 * np.eye(2)
+            omega = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            direction = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            x0 = tuple((omega + 0.9999 * direction / np.linalg.norm(direction)).tolist())
+            eqs = tuple(
+                TruncatedSeries(x0, 1, {(1, 0): a[i, 0], (0, 1): a[i, 1]}) for i in range(2)
+            )
+            f = AnalyticSystem(2, eqs, tuple(omega.tolist()), 1.0)
+            report = alpha_certificate(f, x0, backend)
+            assert report.quantities.gamma > 1e8
+            assert report.alpha_ok and report.theta_low == 0.0 < report.alpha_bound
 
 
 class TestGammaRadius:

@@ -12,6 +12,7 @@ from multiroot.errors import ParseError
 from multiroot.rank import RankReport
 
 from conftest import FIXTURES, relerr
+from test_batched import _load_gen
 
 GY2 = str(FIXTURES / "gy2.json")
 GY2_EXACT = str(FIXTURES / "gy2_exact.json")
@@ -534,6 +535,48 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["rank"])  # missing --input
         assert exc.value.code == 1
+
+    def test_directory_input(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "deflate", "--input", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"deflate: parse error: cannot read {tmp_path}: ")
+        assert err.count("\n") == 1
+
+    def test_undecodable_input(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"vars": ["\xff"]}')
+        code, out, err = run_cli(capsys, "deflate", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"deflate: parse error: cannot read {path}: 'utf-8' codec")
+        assert err.count("\n") == 1
+
+    def test_json_error_positions_count_text_mode_line_ends(self, capsys, tmp_path):
+        # Text mode reads \r\n and \r as \n, and the message counts them so.
+        path = tmp_path / "crlf.json"
+        path.write_bytes(b'{\r\n"vars": [1,\r\r 2,, 3]}')
+        code, _out, err = run_cli(capsys, "deflate", "--input", str(path))
+        assert code == 1
+        assert err == (
+            f"deflate: parse error: malformed JSON in {path}: "
+            "Expecting value: line 4 column 4 (char 18)\n"
+        )
+
+
+class TestExitCodeProperty:
+    """On well-posed input no command exits 3, and ``deflate`` exits 2 exactly
+    when its report names a failure."""
+
+    def test_families_fixtures_and_dz2(self, capsys, tmp_path):
+        # Three points of every benchmark family (seed 802), both gy2
+        # fixtures and DZ2.
+        families = _load_gen().family_inputs(tmp_path, 802, 3)
+        paths = [str(p) for block in families for p in block]
+        for path in paths + [GY2, GY2_EXACT, write_json(tmp_path, "dz2.json", DZ2)]:
+            code, out, err = run_cli(capsys, "deflate", "--input", path)
+            assert code == (0 if json.loads(out)["failure"] is None else 2), (path, err)
+            for argv in (("solve",), ("certify",)):
+                code, _out, err = run_cli(capsys, *argv, "--input", path)
+                assert code == 0, (path, argv, err)
 
 
 class TestOverflow:

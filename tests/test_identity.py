@@ -94,7 +94,7 @@ def test_abtime_against_this_checkout():
     header, columns, *rows = proc.stdout.splitlines()
     assert header == "families-complex, seed 802: 8 inputs x 1 reps"
     assert columns.split() == ["op", "this_ms", "other_ms", "ratio", "per-rep", "ratios"]
-    assert [row.split()[0] for row in rows] == ["total", "deflate", "solve", "certify"]
+    assert [row.split()[0] for row in rows] == ["total", "deflate", "solve", "certify", "parse"]
     for row in rows:
         this_ms, other_ms, ratio, rep = map(float, row.split()[1:])
         assert this_ms > 0 and other_ms > 0 and ratio == rep
