@@ -28,7 +28,7 @@ The pipeline, for a point x0 near a multiple root:
 
 Classical Newton on the extracted square system is the singular Newton
 operator of the original system.  Extraction already solves J_S delta =
-F_S(x0) for every admitted subset S to compare their Newton points, so the
+F_S(x0) for every nonsingular subset S to compare their Newton points, so the
 chosen subset's point x0 - delta is kept with the extraction step and is the
 step; every system of a deflation is expanded around x0, in the caller's
 ball, and one already centered there is deflated as it is, with the norms
@@ -56,7 +56,6 @@ from .errors import (
 )
 from .rank import (
     RankReport,
-    full_rank_mask,
     numerical_rank,
     rank_from_singular_values,
     singular_values,
@@ -470,9 +469,12 @@ def _extract_square_indexed(
     and f's values at x0: (square system, its equation indices, its rank
     report, its Newton point x0 - J_S^{-1} F_S(x0)).
 
-    Every admitted subset S is ranked by one residual, ||f|| at its Newton
-    point; a NaN ranks last, and a tie goes to the first subset, since
-    subsets are numbered lexicographically."""
+    The candidates are the nonsingular subsets S, those whose sigma_n stays
+    above the rounding floor.  Each is ranked by one residual, ||f|| at its
+    Newton point; a NaN ranks last, and a tie goes to the first subset, since
+    subsets are numbered lexicographically.  The first candidate in that
+    order that the rank test reads as full rank is taken; a full-rank report
+    implies sigma_n > 0, so no subset of full rank is missed."""
     n = f.dim
     count = math.comb(f.size, n)
     if count > _EXTRACT_BRUTE_LIMIT:
@@ -482,29 +484,30 @@ def _extract_square_indexed(
         )
     combos = _subsets(f.size, n)
     sigmas = singular_values(j0[combos])
-    full = full_rank_mask(sigmas)
-    admitted, sigmas = combos[full], sigmas[full]
-    if not len(admitted):
-        raise ExtractionError("no equation subset achieves full numerical rank")
-    # A full-rank report certifies sigma_n > 0, so the solves succeed.
-    # Each admitted subset's Newton point, and every equation at all of them.
-    delta = np.linalg.solve(j0[admitted], values[admitted][..., None])[..., 0]
+    nonsingular = sigmas[:, -1] != 0.0
+    candidates, sigmas = combos[nonsingular], sigmas[nonsingular]
+    # Each candidate's Newton point, and every equation at all of them.
+    delta = np.linalg.solve(j0[candidates], values[candidates][..., None])[..., 0]
     points = np.array([complex(t) for t in x0]) - delta
     residuals = [float(np.linalg.norm(row)) for row in system_evaluate_many(f, points)]
-    best = min(range(len(residuals)), key=lambda k: (math.isnan(residuals[k]), residuals[k]))
-    chosen = tuple(admitted[best].tolist())
-    square = f._with(f.equations[i] for i in chosen)
-    return square, chosen, rank_from_singular_values(sigmas[best]), tuple(points[best].tolist())
+    ranked = sorted(range(len(residuals)), key=lambda k: (math.isnan(residuals[k]), residuals[k]))
+    for best in ranked:
+        report = rank_from_singular_values(sigmas[best])
+        if report.full_rank:
+            chosen = tuple(candidates[best].tolist())
+            square = f._with(f.equations[i] for i in chosen)
+            return square, chosen, report, tuple(points[best].tolist())
+    raise ExtractionError("no equation subset achieves full numerical rank")
 
 
 def extract_square(f: AnalyticSystem, x0: Sequence[complex]) -> AnalyticSystem:
     """A square subsystem whose Jacobian at x0 has full numerical rank.
 
-    Among all n-subsets of equations, those the threshold-free rank test
-    reads as full rank are admitted; of these, the subset whose Newton point
-    best satisfies the whole system is taken (a NaN residual ranks last, and
-    a tie goes to the lexicographically first subset), in ascending equation
-    order.
+    The candidates are the n-subsets of equations whose Jacobian at x0 is
+    nonsingular; they are ranked by how well their Newton point satisfies
+    the whole system (a NaN residual ranks last, and a tie goes to the
+    lexicographically first subset), and the first that the threshold-free
+    rank test reads as full rank is taken, in ascending equation order.
     More subsets than ``_EXTRACT_BRUTE_LIMIT`` raise ``ExtractionError``
     naming the count.
     """

@@ -24,6 +24,11 @@ package decides that a singular value is numerically zero; pivot searches,
 Schur pivot blocks and certificates all call it.  The floor is
 ``numpy.linalg.matrix_rank``'s default tolerance, a property of double
 precision rather than a tuning knob.
+
+The a-test has one implementation, ``rank_from_singular_values``, run on one
+matrix at a time.  A search over many blocks screens them first by the
+floor alone (sigma_n != 0, which a full-rank test implies) and runs the
+a-test only where it decides.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ __all__ = [
     "rank_quantities",
     "numerical_rank",
     "rank_from_singular_values",
-    "full_rank_mask",
 ]
 
 A_THRESHOLD = 1.0 / 9.0
@@ -62,10 +66,6 @@ class RankReport:
     rank: int
     epsilon: float
     full_rank: bool
-
-    @property
-    def n(self) -> int:
-        return len(self.sigma)
 
 
 def rounding_floor(shape: tuple[int, ...], scale):
@@ -178,28 +178,3 @@ def rank_from_singular_values(sigma) -> RankReport:
         epsilon=float(epsilon),
         full_rank=rank == n,
     )
-
-
-def full_rank_mask(sigmas) -> np.ndarray:
-    """``rank_from_singular_values(sigma).full_rank`` for each row of a stack
-    of ``singular_values`` outputs, k x n.
-
-    The same recurrence, divisions and comparisons in the same order, carried
-    out on columns of the stack, so every entry equals the one-matrix test.
-    """
-    sigmas = np.asarray(sigmas, dtype=float)
-    k, n = sigmas.shape
-    s = [np.ones(k)]
-    for x in sigmas.T:
-        s.append(np.zeros(k))
-        for j in range(len(s) - 1, 0, -1):
-            s[j] = s[j] + x * s[j - 1]
-    deficient = np.zeros(k, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for m in range(1, n + 1):
-            denom = s[n - m]
-            b = s[n - m + 1] / denom
-            a = b if m == n else b * (s[n - m - 1] / denom)
-            # A zero denominator leaves a_m undefined, and the scan skips it.
-            deficient |= (denom != 0.0) & (a < A_THRESHOLD)
-    return ~deficient

@@ -300,16 +300,18 @@ class _RecenterLayout:
     to each beta <= alpha of degree <= the new order, in
     ``itertools.product`` order, the product of its coefficient and the
     factors comb(alpha_i, beta_i) delta_i^(alpha_i - beta_i).  The factor
-    rows b = 0..a of each (variable i, exponent a) that a term uses are laid
-    end to end in one table, which ``powers`` describes entry by entry as
-    (i, a - b, comb(a, b)).  Each contribution has its term (``term``), its
-    factor ids in the table, one row per variable (``factors``), and its
-    output slot (``slot``).  A slot is one output exponent of one series,
-    ``slots[k]`` = (series, exponent), numbered in the order of its first
-    contribution.
+    rows b = 0..min(a, the largest new order) of each (variable i, exponent
+    a) that a term uses are laid end to end in one table, which ``powers``
+    describes entry by entry as (i, a - b, comb(a, b)).  Each contribution
+    has its term (``term``), its factor ids in the table, one row per
+    variable (``factors``), and its output slot (``slot``).  A slot is one
+    output exponent of one series, ``slots[k]`` = (series, exponent),
+    numbered in the order of its first contribution.
     """
 
     def __init__(self, n: int, patterns: tuple[tuple[int, tuple[Exponent, ...]], ...]):
+        # No output exponent has a part above the largest new order.
+        top = max(order for order, _ in patterns)
         offsets: dict[tuple[int, int], int] = {}
         term, factors, slot = [], [], []
         self.slots: list[tuple[int, Exponent]] = []
@@ -322,9 +324,9 @@ class _RecenterLayout:
                     start = offsets.get((i, a))
                     if start is None:
                         start = offsets[i, a] = size
-                        size += a + 1
+                        size += min(a, top) + 1
                     starts.append(start)
-                for beta in itertools.product(*(range(a + 1) for a in alpha)):
+                for beta in itertools.product(*(range(min(a, order) + 1) for a in alpha)):
                     if sum(beta) > order:
                         continue
                     k = slots.get(beta)
@@ -337,7 +339,7 @@ class _RecenterLayout:
                 t += 1
         # The factor table's entries, as (variable, power, binomial).
         self.powers = [
-            (i, a - b, math.comb(a, b)) for i, a in offsets for b in range(a + 1)
+            (i, a - b, math.comb(a, b)) for i, a in offsets for b in range(min(a, top) + 1)
         ]
         self.term = np.array(term, dtype=int)
         self.factors = np.array(factors, dtype=int).reshape(len(term), n).T.copy()

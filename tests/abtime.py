@@ -18,15 +18,16 @@ so a change of ~10% shows here in a few seconds where whole benchmark runs
 drift by more than that from one run to the next.  The inputs are
 ``perfbench/gen.py``'s: K blocks of one point of every family
 (``families-complex``, default K = 24), or the gy2 fixture point and K
-seeded points (``gy2-appendix``, default K = 16).  Compile both checkouts'
-sources first (``python -m compileall -q src``) so that neither side's
-bytecode is stale.  pytest does not collect this file; ``test_identity.py``
+seeded points (``gy2-appendix``, default K = 16).  Each package is
+compiled before it is loaded, so that stale or missing bytecode biases
+neither side.  pytest does not collect this file; ``test_identity.py``
 smoke-runs it.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import importlib.util
 import sys
 import tempfile
@@ -44,10 +45,12 @@ SOLVE_STEPS = 4
 
 
 def load_package(name: str, src: Path):
-    """The ``multiroot`` package under ``src``, imported as ``name``."""
+    """The ``multiroot`` package under ``src``, compiled and imported as
+    ``name``."""
     init = src / "multiroot" / "__init__.py"
     if not init.is_file():
         raise SystemExit(f"abtime: no multiroot package under {src}")
+    compileall.compile_dir(init.parent, quiet=1)
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[str(init.parent)]
     )

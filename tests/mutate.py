@@ -139,6 +139,12 @@ MUTANTS = (
         "key=lambda k: residuals[k]",
     ),
     Mutant(
+        "extract-atest-skipped",
+        "src/multiroot/deflation.py",
+        "if report.full_rank:",
+        "if True:",
+    ),
+    Mutant(
         "complements-unreversed",
         "src/multiroot/deflation.py",
         "_subsets(s, s - r)[::-1][ii]",

@@ -31,7 +31,6 @@ from multiroot.deflation import (
 )
 from multiroot.rank import (
     RankReport,
-    full_rank_mask,
     numerical_rank,
     rank_from_singular_values,
     singular_values,
@@ -170,54 +169,6 @@ class TestCenterShortcut:
         assert np.array_equal(j0, np.array(linear, dtype=complex))
 
 
-def reference_full_rank(stack) -> list[bool]:
-    return [rank_from_singular_values(s).full_rank for s in stack]
-
-
-class TestFullRankMask:
-    def test_random_stacks(self):
-        rng = np.random.default_rng(3)
-        for n in range(1, 7):
-            # Half the rows spread over 14 decades, half over less than one.
-            logs = rng.uniform(-14.0, 0.0, size=(200, n)) * rng.choice([1.0, 0.05], (200, 1))
-            stack = -np.sort(-(10.0**logs), axis=1)
-            mask = full_rank_mask(stack).tolist()
-            assert mask == reference_full_rank(stack)
-            assert n == 1 or (any(mask) and not all(mask))
-
-    def test_exact_zeros(self):
-        rng = np.random.default_rng(4)
-        for n in range(1, 7):
-            stack = -np.sort(-rng.random((100, n)), axis=1)
-            for row, zeros in zip(stack, rng.integers(0, n + 1, size=len(stack))):
-                if zeros:
-                    row[n - zeros:] = 0.0
-            assert full_rank_mask(stack).tolist() == reference_full_rank(stack)
-
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_ones_matrix(self, n):
-        stack = singular_values(np.ones((1, n, n)))
-        assert full_rank_mask(stack).tolist() == reference_full_rank(stack) == [False]
-
-    def test_zero_matrix_and_one_by_one_blocks(self):
-        zero = singular_values(np.zeros((1, 3, 3)))
-        assert full_rank_mask(zero).tolist() == reference_full_rank(zero)
-        rng = np.random.default_rng(5)
-        blocks = rng.standard_normal((50, 1, 1)) * 10.0 ** rng.uniform(-3, 1, (50, 1, 1))
-        blocks[::7] = 0.0
-        stack = singular_values(blocks)
-        assert full_rank_mask(stack).tolist() == reference_full_rank(stack)
-        # a_1 = sigma for a 1x1 block: exactly at, just below and above 1/9.
-        edge = np.array([[1.0 / 9.0], [np.nextafter(1.0 / 9.0, 0.0)], [0.5]])
-        assert full_rank_mask(edge).tolist() == reference_full_rank(edge) == [True, False, True]
-
-    def test_matrix_blocks(self):
-        rng = np.random.default_rng(6)
-        j0 = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 4))
-        stack = singular_values(j0[np.array(list(combinations(range(8), 4)))])
-        assert full_rank_mask(stack).tolist() == reference_full_rank(stack)
-
-
 def reference_residual(j0, values, rows, cols) -> float:
     """||K(f)(x0)|| of one pivot block, one block at a time."""
     s, n = j0.shape
@@ -318,6 +269,25 @@ class TestExtraction:
         values = system_evaluate(f, origin)
         _square, chosen, report, point = _extract_square_indexed(f, origin, j0, values)
         assert (chosen, point) == ((1, 2), (0j, 0j))
+        assert (chosen, report) == reference_extraction(f, origin, j0)
+
+    def test_smallest_residual_fails_the_rank_test(self):
+        """{x, 0.01 y, x + y} at the origin: every Newton point is the
+        origin, so all three subsets tie on residual 0.  Rows (0, 1) come
+        first and are nonsingular, but sigma = (1, 0.01) reads as rank 1;
+        rows (0, 2) are the first the rank test reads as full rank."""
+        origin = (0.0, 0.0)
+        f = AnalyticSystem(2, (
+            TruncatedSeries(origin, 1, {(1, 0): 1.0}),
+            TruncatedSeries(origin, 1, {(0, 1): 0.01}),
+            TruncatedSeries(origin, 1, {(1, 0): 1.0, (0, 1): 1.0}),
+        ), origin, 1.0)
+        j0 = jacobian_at(f, origin)
+        values = system_evaluate(f, origin)
+        assert not rank_from_singular_values(singular_values(j0[[0, 1]])).full_rank
+        _square, chosen, report, point = _extract_square_indexed(f, origin, j0, values)
+        assert (chosen, point) == ((0, 2), (0j, 0j))
+        assert report.full_rank
         assert (chosen, report) == reference_extraction(f, origin, j0)
 
     def test_benchmark_inputs(self, tmp_path):

@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from multiroot.bergman import (
 from multiroot.certificates import singular_alpha_certificate
 from multiroot.cli import parse_system
 from multiroot.deflation import deflation_sequence, newton_iterate, truncated_deflation
-from multiroot.errors import DomainError
+from multiroot.errors import DomainError, StructuralError
 from multiroot.series import (
     AnalyticSystem,
     TruncatedSeries,
@@ -395,3 +396,37 @@ class TestSliceOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert math.isnan(series_norm_a2(f, BALL, APPENDIX_SLICE))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: norm_a2(const_system(), "bogus"), DomainError,
+            "unknown norm backend 'bogus'; expected one of ('complex_exact', 'appendix_slice')",
+            id="backend",
+        ),
+        pytest.param(
+            lambda: BallContext(C2, 0.0, 2), DomainError, "ball radius must be positive",
+            id="radius-zero",
+        ),
+        pytest.param(
+            lambda: BallContext(C2, -1.0, 2), DomainError, "ball radius must be positive",
+            id="radius-negative",
+        ),
+        pytest.param(
+            lambda: BallContext(C2, 1.0, 3), StructuralError, "ball center has wrong dimension",
+            id="ball-dimension",
+        ),
+        pytest.param(
+            lambda: nu((0.0,), BALL), StructuralError, "point has wrong dimension", id="nu"
+        ),
+        pytest.param(
+            lambda: derivative_bound(const_system(), C2, -1, COMPLEX_EXACT), DomainError,
+            "derivative order k must be nonnegative", id="derivative-order",
+        ),
+    ],
+)
+def test_input_check(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

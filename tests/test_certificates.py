@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -435,3 +437,59 @@ class TestRankStabilityRadius:
                 x = tuple(radius * rng.random() ** 0.25 * g)
                 sx = singular_values(jacobian_at(f, x))
                 assert sum(1 for s in sx if s > eps) == 2
+
+
+def _far_trace():
+    """A run whose gate fails at k=0: ||(1 + x, y)|| = 1 at the origin."""
+    eqs = (
+        TruncatedSeries(C2, 1, {(0, 0): 1.0, (1, 0): 1.0}),
+        TruncatedSeries(C2, 1, {(0, 1): 1.0}),
+    )
+    return deflation_sequence(AnalyticSystem(2, eqs, C2, 1.0), C2, COMPLEX_EXACT)
+
+
+def _unpivoted_trace():
+    trace = deflation_sequence(linear_golden_system(), C2, COMPLEX_EXACT)
+    return dataclasses.replace(trace, mu_values=())
+
+
+def _doubled_system():
+    f = linear_golden_system()
+    return f.with_equations(f.equations * 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: point_quantities(_doubled_system(), C2, COMPLEX_EXACT),
+            CertificateUnavailableError,
+            "point quantities need a square system; got 4 equations in dimension 2",
+            id="non-square",
+        ),
+        pytest.param(
+            lambda: deflated_gamma_bound(_far_trace(), C2, COMPLEX_EXACT),
+            CertificateUnavailableError, "trace is incomplete (no deflated system)",
+            id="no-deflated-system",
+        ),
+        pytest.param(
+            lambda: deflated_gamma_bound(_unpivoted_trace(), C2, COMPLEX_EXACT),
+            CertificateUnavailableError, "trace carries no pivot-block data", id="no-pivot-data",
+        ),
+        pytest.param(
+            lambda: rank_stability_radius(linear_golden_system(), C2, -0.1, COMPLEX_EXACT),
+            DomainError, "epsilon must be nonnegative", id="epsilon",
+        ),
+        pytest.param(
+            lambda: rank_stability_radius(
+                AnalyticSystem(2, (TruncatedSeries(C2, 2, {(2, 0): 1.0, (0, 2): 1.0}),), C2, 1.0),
+                C2, 0.1, COMPLEX_EXACT,
+            ),
+            DomainError, "Jacobian vanishes at zeta; no nonzero singular value",
+            id="zero-jacobian",
+        ),
+    ],
+)
+def test_input_check(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

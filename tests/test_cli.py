@@ -267,6 +267,34 @@ class TestOneVariable:
         assert json.loads(out)["rank"] == 1
 
 
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        pytest.param("deflate", [1, 2], "top-level JSON value must be an object", id="not-object"),
+        pytest.param(
+            "deflate", {k: v for k, v in _gy2_with().items() if k != "radius"},
+            "missing field 'radius'", id="missing-field",
+        ),
+        pytest.param(
+            "rank", {"matrix": []}, "field 'matrix': expected a nonempty list of rows",
+            id="matrix-empty",
+        ),
+        pytest.param(
+            "rank", {"matrix": [[1.0], []]}, "field 'matrix'[1]: expected a nonempty row",
+            id="matrix-empty-row",
+        ),
+        pytest.param(
+            "rank", {"matrix": [[1.0, 0.0], [1.0]]}, "field 'matrix'[1]: ragged row",
+            id="matrix-ragged",
+        ),
+    ],
+)
+def test_input_check(capsys, tmp_path, command, payload, message):
+    path = write_json(tmp_path, "bad.json", payload)
+    expected = (1, "", f"deflate: parse error: {message}\n")
+    assert run_cli(capsys, command, "--input", path) == expected
+
+
 class TestRankCommand:
     def test_gy2_selected_jacobian(self, capsys):
         code, out, _ = run_cli(capsys, "rank", "--input", GY2)
@@ -635,9 +663,28 @@ class TestOverflow:
                 code, _out, err = run_cli(capsys, "rank", "--input", path)
             assert (code, err) == (0, ""), backend
 
+    def test_term_above_the_order_is_dropped_unexpanded(self, capsys, tmp_path):
+        # Expanding x^1500 y^1500 at (0.1, 0.1) would form comb(1500, 750),
+        # which no double holds; order 2 drops every one of its contributions,
+        # so the commands read the system as {x, y}.
+        point = [[0.1, 0.0], [0.1, 0.0]]
+        base = {"vars": ["x", "y"], "point": point, "radius": 1.0, "order": 2}
+        big = write_json(tmp_path, "big.json", dict(base, equations=[
+            [[[1.0, 0.0], [1500, 1500]], [[1.0, 0.0], [1, 0]]], [[[1.0, 0.0], [0, 1]]],
+        ]))
+        small = write_json(tmp_path, "small.json", dict(base, equations=[
+            [[[1.0, 0.0], [1, 0]]], [[[1.0, 0.0], [0, 1]]],
+        ]))
+        for command in ("rank", "deflate", "certify"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = run_cli(capsys, command, "--input", big)
+            assert got == run_cli(capsys, command, "--input", small), command
+
 
 class TestCountFlags:
-    """Counts out of range are usage errors (exit 1), caught by the parser."""
+    """Counts that are out of range or not integers are usage errors (exit
+    1), caught by the parser."""
 
     @pytest.mark.parametrize("steps", ["0", "-2"])
     def test_steps_below_one(self, capsys, steps):
@@ -656,6 +703,14 @@ class TestCountFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument --order: must be >= 0, got -1" in captured.err
+
+    def test_order_not_an_integer(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["deflate", "--input", GY2, "--order", "abc"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --order: invalid int value: 'abc'" in captured.err
 
     def test_negative_max_iters(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -931,3 +932,26 @@ class TestNoReferenceCycles:
                     assert gc.collect() == 0, (path.stem, name)
         finally:
             gc.enable()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: eta_threshold(1.0, 2, 0.0), "eta threshold requires a positive radius",
+            id="eta-radius",
+        ),
+        pytest.param(lambda: eta_threshold(-1.0, 2, 1.0), "negative norm", id="eta-norm"),
+        pytest.param(
+            lambda: truncated_deflation(kss(2, (1.0, 1.0)), (1.0, 1.0), -1, COMPLEX_EXACT),
+            "ell must be nonnegative", id="ell",
+        ),
+        pytest.param(
+            lambda: newton_iterate(kss(2, (1.0, 1.0)), (1.0, 1.0), 0, COMPLEX_EXACT),
+            "steps must be >= 1", id="steps",
+        ),
+    ],
+)
+def test_input_check(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

@@ -5,6 +5,7 @@ from multiroot.errors import StructuralError
 from multiroot.rank import (
     elementary_symmetric,
     numerical_rank,
+    rank_from_singular_values,
     rank_quantities,
     singular_values,
 )
@@ -73,6 +74,10 @@ class TestElementarySymmetric:
 
     def test_all_zero(self):
         assert elementary_symmetric([0.0, 0.0, 0.0]) == [1.0, 0.0, 0.0, 0.0]
+
+    def test_negative_value_is_rejected(self):
+        with pytest.raises(ValueError, match="^singular values must be nonnegative$"):
+            elementary_symmetric([1.0, -0.5])
 
     def test_matches_polynomial_coefficients(self):
         rng = np.random.default_rng(3)
@@ -143,6 +148,24 @@ class TestNumericalRank:
         assert report.rank == 0
         assert report.epsilon == 0.0
         assert not report.full_rank
+
+    @pytest.mark.parametrize(
+        "sigma, full",
+        [(1.0 / 9.0, True), (float(np.nextafter(1.0 / 9.0, 0.0)), False), (0.5, True)],
+    )
+    def test_one_by_one_at_the_threshold(self, sigma, full):
+        # a_1 = sigma for a single value: the test admits exactly 1/9.
+        report = rank_from_singular_values([sigma])
+        assert (report.full_rank, report.rank) == (full, int(full))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_exact_trailing_zeros(self, n):
+        # A zero denominator leaves a_m undefined and the scan skips it; the
+        # first defined ratio is 0, so the rank counts the nonzero values.
+        for zeros in range(1, n + 1):
+            sigma = [3.0, 2.0, 1.0, 0.5, 0.25, 0.125][: n - zeros] + [0.0] * zeros
+            report = rank_from_singular_values(sigma)
+            assert (report.rank, report.full_rank) == (n - zeros, False)
 
     def test_tiny_second_value(self):
         report = numerical_rank(np.diag([1.0, 1e-8]))

@@ -9,9 +9,10 @@ kernels an already-kerneled system.  The KSS pivot blocks have 1/sigma_min
 up to 7.2e6, and every coefficient of the float complement must lie within
 1e-8 of the largest exact one.  The complement is the one ``kernel_op``
 appends; the exact one is built from each Jacobian entry ``ts_derivative``
-gives.
+gives.  The pivot index checks of the Schur layout close the file.
 """
 
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +23,8 @@ from conftest import kss, ojika1
 from multiroot.bergman import COMPLEX_EXACT
 from multiroot.cli import parse_system
 from multiroot.deflation import deflation_sequence, kernel_op
+from multiroot.errors import StructuralError
+from multiroot.schur import jacobian_schur
 from multiroot.series import ts_derivative
 
 REPO = Path(__file__).resolve().parents[1]
@@ -167,3 +170,19 @@ def test_thickness_two_rounds_are_exact():
     assert [s.kind for s in trace.steps[:2]] == ["selection", "kerneling"]
     for step in trace.steps[:2]:
         assert round_error(step) <= RTOL
+
+
+@pytest.mark.parametrize(
+    "rows, cols, message",
+    [
+        pytest.param(
+            (0, 1), (0,), "pivot row and column index sets must have equal size >= 1",
+            id="unequal",
+        ),
+        pytest.param((0, 0), (0, 1), "duplicate pivot indices", id="duplicate-rows"),
+        pytest.param((0, 1), (1, 1), "duplicate pivot indices", id="duplicate-cols"),
+    ],
+)
+def test_input_check(rows, cols, message):
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        jacobian_schur(kss(3, (1.0, 1.0, 1.0)), rows, cols, 1)

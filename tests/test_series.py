@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,13 @@ from multiroot.errors import SingularPivotError, StructuralError
 from multiroot.series import (
     AnalyticSystem,
     TruncatedSeries,
+    _evaluate,
     jacobian_at,
+    recenter_series,
     ts_derivative,
     ts_evaluate,
     ts_recenter,
+    ts_truncate,
 )
 
 from conftest import linear_system, random_polynomial
@@ -233,3 +238,57 @@ class TestAnalyticSystem:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(StructuralError):
             AnalyticSystem(2, (S(1, {}),), C2, 0.0)
+
+
+X = S(2, {(1, 0): 1.0})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: S(-1, {}), "series order must be nonnegative", id="order"),
+        pytest.param(
+            lambda: S(2, {(1, 0, 0): 1.0}), "exponent (1, 0, 0) has length 3, expected 2",
+            id="exponent-length",
+        ),
+        pytest.param(
+            lambda: S(2, {(-1, 1): 1.0}), "negative exponent in (-1, 1)", id="exponent-sign"
+        ),
+        pytest.param(lambda: S(1, {(1, 1): 1.0}), "term of degree 2 exceeds order 1", id="degree"),
+        pytest.param(lambda: ts_truncate(X, -1), "series order must be nonnegative", id="truncate"),
+        pytest.param(
+            lambda: ts_derivative(X, 2), "variable index 2 out of range for n=2", id="derivative"
+        ),
+        pytest.param(
+            lambda: _evaluate((X,), np.zeros((1, 3))), "points have shape (1, 3), expected (k, 2)",
+            id="evaluate-points",
+        ),
+        pytest.param(
+            lambda: recenter_series((X,), (0.1, 0.1), (-1,)), "series order must be nonnegative",
+            id="recenter-order",
+        ),
+        pytest.param(
+            lambda: recenter_series((X,), (0.1,), (1,)), "new center has wrong dimension",
+            id="recenter-center",
+        ),
+        pytest.param(
+            lambda: AnalyticSystem(2, (X,), (0.0,), 1.0), "ball center has wrong dimension",
+            id="system-ball",
+        ),
+        pytest.param(
+            lambda: AnalyticSystem(2, (), C2, 1.0), "a system needs at least one equation",
+            id="system-empty",
+        ),
+        pytest.param(
+            lambda: AnalyticSystem(2, (X, S(1, {}, center=(0.0, 0.0, 0.0))), C2, 1.0),
+            "equation dimension disagrees with system", id="system-dimension",
+        ),
+        pytest.param(
+            lambda: AnalyticSystem(2, (X, S(1, {}, center=(0.1, 0.0))), C2, 1.0),
+            "equations disagree on center", id="system-centers",
+        ),
+    ],
+)
+def test_input_check(call, message):
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        call()
