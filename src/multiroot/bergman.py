@@ -109,9 +109,9 @@ def kappa(x: Sequence[complex], ball: BallContext) -> float:
 @functools.lru_cache(maxsize=4096, typed=True)
 def _monomial_weight(alpha: tuple[int, ...], n: int, radius: float) -> float:
     deg = sum(alpha)
-    w = math.factorial(n) / math.factorial(n + deg)
-    for a in alpha:
-        w *= math.factorial(a)
+    # n! alpha! / (n + |alpha|)! as one exact ratio, correctly rounded: each
+    # alpha_i! alone may outgrow a float where the weight does not.
+    w = math.factorial(n) * math.prod(map(math.factorial, alpha)) / math.factorial(n + deg)
     return w * radius ** (2 * deg)
 
 

@@ -19,9 +19,9 @@ away from their center, and ``recenter_series`` re-expands series around a
 new center.  Each works on one flat array of all the series' terms (for
 recentering, their contributions) in stored order, sums them into their
 outputs from 0 + 0j with ``np.add.at``, and gives, bit for bit, what the
-term-by-term Python arithmetic gives.  What depends only on where the coefficients are (the
-exponents, and for recentering the orders) is a layout built once per
-pattern in a bounded cache.
+term-by-term Python arithmetic gives.  What depends only on the stored
+exponents (and for recentering the orders) is a layout, and a bounded cache
+of each kernel's layout class builds it once for each.
 """
 
 from __future__ import annotations
@@ -209,6 +209,14 @@ def system_evaluate_many(f: "AnalyticSystem", points) -> np.ndarray:
     return _evaluate(f.equations, points).T.copy()
 
 
+def _term_table(n: int, exponents: tuple[tuple[Exponent, ...], ...]):
+    """(series, exps) for the terms of series in n variables whose stored
+    exponents are ``exponents``, in stored order, series after series."""
+    series = np.repeat(np.arange(len(exponents)), [len(eq) for eq in exponents])
+    exps = np.array([a for eq in exponents for a in eq], dtype=int).reshape(-1, n)
+    return series, exps
+
+
 class _EvaluateLayout:
     """Everything ``_evaluate`` needs of its series besides their coefficient
     values.  Terms are numbered in stored order, series after series;
@@ -217,8 +225,7 @@ class _EvaluateLayout:
     the variable of the j-th one and its exponent."""
 
     def __init__(self, n: int, exponents: tuple[tuple[Exponent, ...], ...]):
-        self.series = np.repeat(np.arange(len(exponents)), [len(eq) for eq in exponents])
-        exps = np.array([a for eq in exponents for a in eq], dtype=int).reshape(-1, n)
+        self.series, exps = _term_table(n, exponents)
         self.top = int(exps.max(initial=0))
         # The nonzero exponents, term by term in variable order, and the place
         # of each among its term's.
@@ -233,11 +240,7 @@ class _EvaluateLayout:
             array.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=64)
-def _evaluate_layout(n: int, exponents: tuple[tuple[Exponent, ...], ...]) -> _EvaluateLayout:
-    """The ``_EvaluateLayout`` of series whose stored exponents are
-    ``exponents``, built once per pattern."""
-    return _EvaluateLayout(n, exponents)
+_evaluate_layout = functools.lru_cache(maxsize=64)(_EvaluateLayout)
 
 
 # inf and NaN propagate as in Python's arithmetic, without warnings.
@@ -349,13 +352,7 @@ class _RecenterLayout:
             array.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=64)
-def _recenter_layout(
-    n: int, patterns: tuple[tuple[int, tuple[Exponent, ...]], ...]
-) -> _RecenterLayout:
-    """The ``_RecenterLayout`` of ``patterns`` in n variables, built once per
-    pattern."""
-    return _RecenterLayout(n, patterns)
+_recenter_layout = functools.lru_cache(maxsize=64)(_RecenterLayout)
 
 
 # inf and NaN propagate as in Python's arithmetic, without warnings.

@@ -127,6 +127,12 @@ MUTANTS = (
         "range(self.order)",
     ),
     Mutant(
+        "schur-monos-order",
+        "src/multiroot/schur.py",
+        "(sum(a), a[::-1])",
+        "(sum(a), a)",
+    ),
+    Mutant(
         "evaluate-pass-dropped",
         "src/multiroot/series.py",
         "for t, v, e in layout.passes:",

@@ -35,6 +35,7 @@ from multiroot.rank import (
     rank_from_singular_values,
     singular_values,
 )
+from multiroot.schur import jacobian_layout
 from multiroot.series import (
     AnalyticSystem,
     TruncatedSeries,
@@ -585,12 +586,17 @@ class TestRecenterSeries:
         f = random_system(np.random.default_rng(17), n=2, s=2, degree=3)
         recenter_system(f, (0.1, 0.2))
         system_evaluate_many(f, [(0.1, 0.2)])
-        for cache in (_recenter_layout, _evaluate_layout):
+        for cache in (_recenter_layout, _evaluate_layout, jacobian_layout):
             assert cache.cache_info().maxsize == 64
         patterns = tuple((eq.order, tuple(eq.coefficients)) for eq in f.equations)
         layout = _recenter_layout(2, patterns)
         with pytest.raises(ValueError):
             layout.term[0] = 1
+        exponents = tuple(tuple(eq.coefficients) for eq in f.equations)
+        layout = jacobian_layout(exponents, 2, 2, (0,), (0,))
+        for array in (layout.src, layout.mult, layout.positions):
+            with pytest.raises(ValueError):
+                array[0] = 1
 
 
 class TestNewtonStep:

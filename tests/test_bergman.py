@@ -86,6 +86,11 @@ class TestNormA2:
     def test_constant_complex_exact(self):
         assert norm_a2(const_system(), COMPLEX_EXACT) == pytest.approx(1.0)
 
+    def test_monomial_weight_beyond_float_factorials(self):
+        # 171! outgrows a float, but the weight 2! 171! / 173! does not: it
+        # is the exact ratio, correctly rounded.
+        assert bergman._monomial_weight((171, 0), 2, 1.0) == 2 / (172 * 173)
+
     def test_constant_appendix_slice(self):
         got = norm_a2(const_system(), APPENDIX_SLICE)
         assert got == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-9)

@@ -147,6 +147,15 @@ DZ2 = {
 }
 
 
+# x^171 outgrows a float factorial in the complex_exact weight of its norm.
+X171_Y = {
+    "vars": ["x", "y"],
+    "equations": [[[1.0, [171, 0]]], [[1.0, [0, 1]]]],
+    "point": [1e-3, 0.0],
+    "radius": 1.0,
+}
+
+
 class TestDefaultOrder:
     """Without an order the input's degree is the order, so nothing the input
     lists is truncated away; an explicit order still truncates."""
@@ -596,10 +605,12 @@ class TestExitCodeProperty:
 
     def test_families_fixtures_and_dz2(self, capsys, tmp_path):
         # Three points of every benchmark family (seed 802), both gy2
-        # fixtures and DZ2.
+        # fixtures, DZ2 and {x^171, y}.
         families = _load_gen().family_inputs(tmp_path, 802, 3)
         paths = [str(p) for block in families for p in block]
-        for path in paths + [GY2, GY2_EXACT, write_json(tmp_path, "dz2.json", DZ2)]:
+        paths += [GY2, GY2_EXACT, write_json(tmp_path, "dz2.json", DZ2)]
+        paths.append(write_json(tmp_path, "x171_y.json", X171_Y))
+        for path in paths:
             code, out, err = run_cli(capsys, "deflate", "--input", path)
             assert code == (0 if json.loads(out)["failure"] is None else 2), (path, err)
             for argv in (("solve",), ("certify",)):

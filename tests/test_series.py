@@ -11,6 +11,7 @@ from multiroot.series import (
     _evaluate,
     jacobian_at,
     recenter_series,
+    series_close,
     ts_derivative,
     ts_evaluate,
     ts_recenter,
@@ -197,7 +198,7 @@ class TestSchurComplement:
             )
 
     def test_many_variables_at_high_order(self):
-        # In 20 variables at order 8 the exponent codes outgrow int64.  With
+        # In 20 variables the data reaches 25 of the ~3.1e6 exponents of degree <= 8.  With
         # f1 = x0 + x0^2/2 + x1 x19 and f2 = x0 the pivot is A = 1 + x0, and
         # the complement is -x19 / (1 + x0) = -sum_k (-x0)^k x19 in column 1
         # and -x1 / (1 + x0) in column 19, truncated at degree 8.
@@ -223,11 +224,44 @@ class TestSchurComplement:
         assert schur[-1].coefficients == want_19
         assert all(not e.coefficients for e in schur[1:-1])
 
+    def test_entry_terms_run_by_degree_then_last_variable_first(self):
+        # Every later norm and evaluation sums a Schur entry's terms in the
+        # order it stores them, so rounding, and with it a pivot choice, can
+        # depend on that order: by degree, then by the exponent of the last
+        # variable, then of the one before.
+        zero = (0.0,) * 3
+        f1 = TruncatedSeries(
+            zero, 3, {(1, 0, 0): 1.0, (1, 1, 0): 1.0, (1, 0, 1): 2.0, (0, 1, 1): 1.0,
+                      (2, 0, 1): 1.0},
+        )
+        f2 = TruncatedSeries(
+            zero, 3, {(1, 0, 0): 1.0, (1, 1, 0): 3.0, (0, 1, 1): 1.0, (0, 2, 0): 1.0,
+                      (0, 0, 2): 1.0, (2, 0, 0): 1.0, (0, 1, 2): 1.0},
+        )
+        schur = kernel_op(AnalyticSystem(3, (f1, f2), zero, 1.0), ((0,), (0,))).equations[1:]
+        assert [list(entry.coefficients) for entry in schur] == [
+            [(1, 0, 0), (0, 1, 0), (2, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 2)],
+            [(1, 0, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)],
+        ]
+
     def test_singular_pivot_rejected(self):
         f = AnalyticSystem(2, (S(1, {(1, 0): 1.0}), S(1, {(0, 1): 1.0})), C2, 1.0)
         # The Jacobian is [[1, 0], [0, 1]]: the pivot entry (0, 1) is 0.
         with pytest.raises(SingularPivotError):
             kernel_op(f, ((0,), (1,)))
+
+
+class TestSeriesClose:
+    """Series in other frames are never close, whatever their coefficients."""
+
+    def test_other_center(self):
+        a = S(2, {(1, 0): 1.0})
+        assert series_close(a, S(2, {(1, 0): 1.0}), scale=2.0)
+        assert not series_close(a, S(2, {(1, 0): 1.0}, center=(0.5, 0.0)), scale=2.0)
+
+    def test_other_dimension(self):
+        # Two zero series: equal term by term, but in 1 and 2 variables.
+        assert not series_close(TruncatedSeries((0.0,), 2), S(2, {}), scale=1.0)
 
 
 class TestAnalyticSystem:
