@@ -57,6 +57,7 @@ from .deflation import (
     DeflationTrace,
     deflation_sequence,
     newton_iterate,
+    raised_failure,
     select_detailed,
 )
 from .errors import HypothesisFailure, MultirootError, ParseError
@@ -316,7 +317,7 @@ def _cmd_rank(args) -> int:
         try:
             selected, _records = select_detailed(system, point, options["backend"])
         except HypothesisFailure as exc:
-            _emit({"failure": f"{type(exc).__name__} at k=0: {exc}"}, args.pretty)
+            _emit({"failure": raised_failure(exc, 0)}, args.pretty)
             return 2
         report = numerical_rank(jacobian_at(selected, point))
     _emit(_fields(report), args.pretty)

@@ -65,7 +65,6 @@ from .series import (
     ZERO_RTOL,
     AnalyticSystem,
     TruncatedSeries,
-    is_zero_series,
     jacobian_at,
     max_coeff,
     maxima_apart,
@@ -94,6 +93,7 @@ __all__ = [
     "extract_square",
     "singular_newton_step",
     "newton_iterate",
+    "raised_failure",
 ]
 
 
@@ -257,7 +257,9 @@ def select_detailed(
     ball, unless they are centered there already; an x0 outside the open
     ball raises ``DomainError``, since every bound the gate rests on needs
     it inside.  Each equation is then walked depth first, a passing node's
-    nonzero partial derivatives in variable order.  A node that fails its
+    nonzero partial derivatives in variable order: a derivative is zero
+    when its largest coefficient, which the parent hands to the child, is
+    at most ZERO_RTOL (1 + the parent's).  A node that fails its
     gate retains its parent (the equation itself at the root) unless an
     equal series is already retained: ``walk`` returns whether the node
     failed, and a parent retains itself at its first failing child, before
@@ -307,23 +309,22 @@ def select_detailed(
                 return
         retained.append((series, record, top))
 
-    def walk(eq: TruncatedSeries, record: SelectionRecord) -> bool:
+    def walk(eq: TruncatedSeries, record: SelectionRecord, top: float) -> bool:
         key = (eq.order, tuple(eq.coefficients), tuple(eq.coefficients.values()))
         failed = walked.get(key)
         if failed is None:
-            failed = gate_and_descend(eq, record)
+            failed = gate_and_descend(eq, record, top)
             if math.isfinite(sum(map(abs, key[2]))):
                 walked[key] = failed
         return failed
 
-    def gate_and_descend(eq: TruncatedSeries, record: SelectionRecord) -> bool:
+    def gate_and_descend(eq: TruncatedSeries, record: SelectionRecord, top: float) -> bool:
         # is_small's gate, with the value read once for both tests.
         value = abs(eq.coefficients.get(zero, 0.0))
         if value > eta0:
             return True
         if not _gate(ball, series_norm_a2(eq, ball, backend), value).passed:
             return True
-        top = max_coeff(eq)
         zero_floor = ZERO_RTOL * (1.0 + top)
         live = [i for i, column in enumerate(zip(*eq.coefficients)) if any(column)]
         retained_self = False
@@ -333,12 +334,13 @@ def select_detailed(
                 failed = True
             else:
                 d = ts_derivative(eq, i)
-                if is_zero_series(d, ref_magnitude=top):
+                d_top = max_coeff(d)
+                if d_top <= zero_floor:
                     continue
                 drec = SelectionRecord(
                     record.source, tuple(a + b for a, b in zip(record.derivative, units[i]))
                 )
-                failed = walk(d, drec)
+                failed = walk(d, drec, d_top)
             if failed and not retained_self:
                 retain(eq, record, top)
                 retained_self = True
@@ -346,9 +348,9 @@ def select_detailed(
 
     try:
         for k, eq in enumerate(f.equations):
-            rec = SelectionRecord(k, zero)
-            if walk(eq, rec):
-                retain(eq, rec, max_coeff(eq))
+            rec, top = SelectionRecord(k, zero), max_coeff(eq)
+            if walk(eq, rec, top):
+                retain(eq, rec, top)
     finally:
         # walk and gate_and_descend refer to each other; unbinding one frees
         # the walk's memo and series when the call returns, not at the next
@@ -522,6 +524,12 @@ def extract_square(f: AnalyticSystem, x0: Sequence[complex]) -> AnalyticSystem:
     return square
 
 
+def raised_failure(exc: HypothesisFailure, k: int) -> str:
+    """The report's wording for a hypothesis that failed by raising exc in
+    round k, as ``deflate``'s ``failure`` and ``rank``'s name it."""
+    return f"{type(exc).__name__} at k={k}: {exc}"
+
+
 def _run_rounds(
     f: AnalyticSystem,
     x0: Sequence[complex],
@@ -594,7 +602,7 @@ def _run_rounds(
                 break
             current, kind = kernel_op(current, pivots), "kerneling"
     except HypothesisFailure as exc:
-        failure = f"{type(exc).__name__} at k={k}: {exc}"
+        failure = raised_failure(exc, k)
     if extraction is not None:
         steps.append(extraction)
     valuations = [

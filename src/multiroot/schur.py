@@ -169,6 +169,6 @@ def jacobian_schur(
     values = np.array([c for eq in f.equations for c in eq.coefficients.values()], dtype=complex)
     monos = layout.monos
     return [
-        TruncatedSeries._of(f.center, order, {a: c for a, c in zip(monos, column) if c})
+        TruncatedSeries._of(f.center, order, dict(zip(monos, column)))
         for column in layout.solve(values).reshape(len(monos), -1).T.tolist()
     ]

@@ -10,7 +10,9 @@ are safe to share between threads.  A series keeps its last norm
 memo's write is idempotent.
 
 Coefficients live in complex double precision; real data embeds with zero
-imaginary parts.  Iteration over stored terms is always in graded
+imaginary parts.  They are stored in one normal form, written by one method,
+``TruncatedSeries._store``: no zero is stored, and each value is 0.0 + c, so
+no real part is -0.0.  Iteration over stored terms is always in graded
 lexicographic order, which keeps every downstream computation and report
 deterministic.
 
@@ -44,7 +46,6 @@ __all__ = [
     "ts_recenter",
     "ts_truncate",
     "max_coeff",
-    "is_zero_series",
     "series_close",
     "maxima_apart",
     "jacobian_at",
@@ -54,7 +55,8 @@ __all__ = [
     "recenter_system",
 ]
 
-# Relative threshold used by the zero test and by coefficient-wise equality.
+# Relative threshold used by the selection walk's zero test and by
+# coefficient-wise equality.
 ZERO_RTOL = 1e-12
 
 Exponent = tuple[int, ...]
@@ -81,6 +83,8 @@ class TruncatedSeries:
     coefficients:
         Mapping from exponent tuples (length n, nonnegative ints) to complex
         coefficients.  Terms of total degree beyond ``order`` are rejected.
+        Values given for one exponent are summed, and the sums are stored in
+        the normal form by ``_store``, the one writer of ``coefficients``.
     """
 
     # _norm: multiroot.bergman's memo, (ball center, radius, backend) -> norms.
@@ -113,8 +117,7 @@ class TruncatedSeries:
             c = complex(c)
             if c != 0:
                 coeffs[alpha] = coeffs.get(alpha, 0.0) + c
-        self.coefficients = coeffs
-        self._norm = None
+        self._store(coeffs)
 
     @classmethod
     def _of(
@@ -122,23 +125,20 @@ class TruncatedSeries:
     ) -> "TruncatedSeries":
         """Constructor for the series operations below, whose center, order and
         exponents come from series that ``__init__`` already checked.  Skips
-        those checks but normalises the coefficients exactly as ``__init__``
-        does: zero terms dropped, each value 0.0 + c."""
-        normalised = {a: 0.0 + c for a, c in coefficients.items() if c != 0}
-        return cls._stored(center, order, normalised)
-
-    @classmethod
-    def _stored(
-        cls, center: Point, order: int, coefficients: dict[Exponent, complex]
-    ) -> "TruncatedSeries":
-        """``_of`` for coefficients already as a series stores them, no zero
-        and each value 0.0 + c: the dict is kept as it is."""
+        those checks; the coefficients are stored as ``__init__`` stores
+        them."""
         self = object.__new__(cls)
         self.center = center
         self.order = order
-        self.coefficients = coefficients
-        self._norm = None
+        self._store(coefficients)
         return self
+
+    def _store(self, coefficients: dict[Exponent, complex]) -> None:
+        """Store coefficients in the normal form, keeping their order: a zero
+        is dropped and each other value is kept as 0.0 + c, so no real part
+        is -0.0.  The only writer of ``coefficients``; it clears the norm."""
+        self.coefficients = {a: 0.0 + c for a, c in coefficients.items() if c != 0}
+        self._norm = None
 
     @property
     def dim(self) -> int:
@@ -171,19 +171,19 @@ def ts_truncate(f: TruncatedSeries, order: int) -> TruncatedSeries:
     if order < 0:
         raise StructuralError("series order must be nonnegative")
     coeffs = {a: c for a, c in f.coefficients.items() if sum(a) <= order}
-    return TruncatedSeries._stored(f.center, order, coeffs)
+    return TruncatedSeries._of(f.center, order, coeffs)
 
 
 def ts_derivative(f: TruncatedSeries, var: int) -> TruncatedSeries:
     """Formal partial derivative; the order drops by one (floor at zero)."""
     if not 0 <= var < f.dim:
         raise StructuralError(f"variable index {var} out of range for n={f.dim}")
-    coeffs: dict[Exponent, complex] = {}
-    for alpha, c in f.coefficients.items():
-        k = alpha[var]
-        if k > 0:
-            beta = alpha[:var] + (k - 1,) + alpha[var + 1:]
-            coeffs[beta] = coeffs.get(beta, 0.0) + k * c
+    # Each exponent of the derivative comes from one term of f.
+    coeffs = {
+        a[:var] + (a[var] - 1,) + a[var + 1:]: a[var] * c
+        for a, c in f.coefficients.items()
+        if a[var] > 0
+    }
     return TruncatedSeries._of(f.center, max(f.order - 1, 0), coeffs)
 
 
@@ -404,17 +404,14 @@ def recenter_series(
         wr, wi = wr * qr - wi * qi, wr * qi + wi * qr
     np.add.at(sums.real, layout.slot, wr)
     np.add.at(sums.imag, layout.slot, wi)
-    # An exponent comes at its first nonzero contribution (a NaN is nonzero),
-    # and is written once, as ``_of`` would store it.
+    # An exponent comes at its first nonzero contribution (a NaN is nonzero).
     values, slots = sums.tolist(), layout.slots
     out: list[dict[Exponent, complex]] = [{} for _ in fs]
     for k in dict.fromkeys(layout.slot[np.logical_or(wr, wi)].tolist()):
-        c = values[k]
-        if c != 0:
-            s, beta = slots[k]
-            out[s][beta] = 0.0 + c
+        s, beta = slots[k]
+        out[s][beta] = values[k]
     return tuple(
-        TruncatedSeries._stored(new_center, order, coeffs)
+        TruncatedSeries._of(new_center, order, coeffs)
         for order, coeffs in zip(new_orders, out)
     )
 
@@ -429,15 +426,6 @@ def ts_recenter(
 
 def max_coeff(f: TruncatedSeries) -> float:
     return max((abs(c) for c in f.coefficients.values()), default=0.0)
-
-
-def is_zero_series(f: TruncatedSeries, ref_magnitude: float) -> bool:
-    """Numerically-zero test with a relative threshold.
-
-    ``ref_magnitude`` supplies the magnitude scale of the computation that
-    produced ``f`` (e.g. the parent series in a selection step).
-    """
-    return max_coeff(f) <= ZERO_RTOL * (1.0 + ref_magnitude)
 
 
 def series_close(a: TruncatedSeries, b: TruncatedSeries, *, scale: float) -> bool:

@@ -133,6 +133,12 @@ MUTANTS = (
         "(sum(a), a)",
     ),
     Mutant(
+        "series-normal-form",
+        "src/multiroot/series.py",
+        "{a: 0.0 + c for a, c in coefficients.items() if c != 0}",
+        "{a: c for a, c in coefficients.items() if c != 0}",
+    ),
+    Mutant(
         "evaluate-pass-dropped",
         "src/multiroot/series.py",
         "for t, v, e in layout.passes:",

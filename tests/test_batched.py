@@ -341,6 +341,10 @@ def family_systems():
 
 
 class TestEvaluatePadded:
+    """``_evaluate`` through ``system_evaluate_many``.  The class keeps the
+    name of the padded evaluator ``_evaluate`` replaced, so its test ids
+    stay as they were."""
+
     def test_mixed_term_counts_a_zero_equation_and_the_center(self):
         rng = np.random.default_rng(12)
         for n in (2, 3, 4):

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from multiroot import cli
 from multiroot.certificates import CertificateReport, PointQuantities
 from multiroot.cli import build_trace_report, main, parse_system
 from multiroot.deflation import SelectionRecord, SmallnessGate
-from multiroot.errors import ParseError
+from multiroot.errors import DomainError, ParseError
 from multiroot.rank import RankReport
 
 from conftest import FIXTURES, relerr
@@ -243,6 +244,16 @@ class TestMalformedNumbers:
     )
     def test_rank_matrix(self, capsys, tmp_path, entry):
         self.assert_parse_error(capsys, tmp_path, {"matrix": [[1.0, entry], [0.0, 1.0]]}, "rank")
+
+    def test_coefficient_list_of_three(self, capsys, tmp_path):
+        payload = _gy2_first_term(coefficient=[1.0, 2.0, 3.0])
+        path = write_json(tmp_path, "bad.json", payload)
+        code, out, err = run_cli(capsys, "deflate", "--input", path)
+        assert (code, out) == (1, "")
+        assert err == (
+            "deflate: parse error: field 'equations'[0][0]: expected a number or "
+            "an [re, im] pair, got [1.0, 2.0, 3.0]\n"
+        )
 
     @staticmethod
     def assert_parse_error(capsys, tmp_path, payload, command):
@@ -597,6 +608,18 @@ class TestExitCodes:
             f"deflate: parse error: malformed JSON in {path}: "
             "Expecting value: line 4 column 4 (char 18)\n"
         )
+
+    def test_internal_error_exits_three(self, capsys, monkeypatch):
+        # Well-posed input reaches no MultirootError outside a report, so the
+        # library call is made to raise one.
+        def raise_domain_error(*args, **kwargs):
+            raise DomainError("x0 lies outside the open ball")
+
+        monkeypatch.setattr(cli, "deflation_sequence", raise_domain_error)
+        code, out, err = run_cli(capsys, "deflate", "--input", GY2)
+        assert (code, out) == (3, "")
+        assert err.startswith("deflate: internal numerical error: ")
+        assert err.count("\n") == 1
 
 
 class TestExitCodeProperty:

@@ -30,7 +30,6 @@ from multiroot.series import (
     AnalyticSystem,
     TruncatedSeries,
     ZERO_RTOL,
-    is_zero_series,
     jacobian_at,
     max_coeff,
     maxima_apart,
@@ -68,7 +67,7 @@ def reference_walk(eq, record, pending, x0, ball, backend, retained):
     parent_scale = max_coeff(eq)
     for i in range(eq.dim):
         d = ts_derivative(eq, i)
-        if is_zero_series(d, ref_magnitude=parent_scale):
+        if max_coeff(d) <= ZERO_RTOL * (1.0 + parent_scale):
             continue
         drec = SelectionRecord(
             record.source,

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -30,6 +31,21 @@ def S(order, coeffs, center=C2):
 # The two equations of the worked example.
 F1_COEFFS = {(3, 0): 1 / 3, (1, 2): 1.0, (2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0}
 F2_COEFFS = {(2, 1): 1.0, (1, 2): -1.0, (2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0}
+
+
+class TestNormalForm:
+    """A series stores no zero, and each value as 0.0 + c."""
+
+    def test_negative_zero_real_part_is_stored_as_positive_zero(self):
+        f = TruncatedSeries._of((0j, 0j), 1, {(1, 0): complex(-0.0, 1.0)})
+        c = f.coefficients[(1, 0)]
+        assert c == 1j
+        assert math.copysign(1.0, c.real) == 1.0
+
+    def test_values_that_cancel_on_one_exponent_store_nothing(self):
+        # int() maps both keys to (1, 0), and their sum is an exact zero.
+        f = S(2, {(1, 0): 1.0, ("1", 0): -1.0, (0, 1): 2.0})
+        assert f.coefficients == {(0, 1): 2.0}
 
 
 class TestDerivative:
